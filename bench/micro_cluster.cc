@@ -1,9 +1,9 @@
-// Serving-loop micro-benchmarks (google-benchmark): the typed-event hot
-// path (ClusterSimulator::run) against the retired closure-based loop
-// (run_reference) on a deliberately high-churn scenario — a small fixed
-// fleet driven far past saturation with faults, retries, and a tight
-// request timeout, so the waiting queue is deep and every event kind
-// fires. The offered load scales with N while the horizon stays fixed,
+// Serving-loop micro-benchmarks (google-benchmark): the serving engine
+// (ClusterSimulator::run) against the retired closure-based loop
+// (run_prepared_reference) on a deliberately high-churn scenario — a
+// small fixed fleet driven far past saturation with faults, retries, and
+// a tight request timeout, so the waiting queue is deep and every event
+// kind fires. The offered load scales with N while the horizon stays fixed,
 // which makes the reference loop's O(Q) timeout erase superlinear while
 // the typed loop stays O(N log N); scripts/check.sh asserts both the fit
 // and the speedup at the largest size.
@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "obs/recorder.h"
 #include "platform/cluster.h"
 
 namespace {
@@ -61,6 +62,18 @@ ClusterConfig churn_config(std::int64_t requests) {
   return config;
 }
 
+/// run() through the reference loop: the same arrivals recipe and a
+/// freshly minted request-id block.
+ClusterResult run_reference(const ClusterSimulator& sim,
+                            const ClusterConfig& config,
+                            const Backend& backend) {
+  Rng rng(config.seed);
+  ArrivalGenerator arrivals(config.arrivals, config.offered_rps, rng.split());
+  const std::vector<TimeMs> times = arrivals.generate(config.horizon_ms);
+  return sim.run_prepared_reference(backend, 1, times,
+                                    obs::mint_request_ids(times.size()));
+}
+
 // Typed-event hot path: slab-backed POD events, O(1) cancellation, lazy
 // queue tombstones — zero steady-state allocations per request.
 void BM_ClusterRun(benchmark::State& state) {
@@ -93,7 +106,7 @@ void BM_ClusterRunReference(benchmark::State& state) {
   const ClusterSimulator sim(config, params);
   std::size_t offered = 0;
   for (auto _ : state) {
-    const ClusterResult result = sim.run_reference(backend, 1);
+    const ClusterResult result = run_reference(sim, config, backend);
     offered = result.offered;
     benchmark::DoNotOptimize(result.completed);
   }

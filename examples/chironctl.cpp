@@ -36,7 +36,7 @@
 // capacity, warm pool, and queue; --router picks the placement policy
 // (round_robin|random|least_outstanding|power_of_two|warm_affinity).
 // Both apply to the fault run and to every --sweep scenario. One node
-// (the default) reproduces the pooled model exactly. A `node=P` key in
+// (the default) reproduces the closure reference loop exactly. A `node=P` key in
 // --faults arms whole-node crashes (sharded runs only). --sim-threads N
 // runs each multi-node simulation on N window workers (0 = one per
 // hardware thread); results are bit-identical whatever N, so the knob

@@ -20,21 +20,17 @@
 
 namespace chiron {
 
-// The POD event, the ring, and the capacity arithmetic live in
-// cluster_internal.h now, shared verbatim with the windowed parallel
-// engine (cluster_parallel.cc).
-using cluster_detail::ClusterEvent;
-using cluster_detail::ClusterEventQueue;
-using cluster_detail::Ring;
+// The recorder-kind mapping and the capacity floor live in
+// cluster_internal.h, shared with the windowed engine
+// (cluster_parallel.cc).
 using cluster_detail::fault_rec_kind;
 using cluster_detail::floor_capacity;
-using cluster_detail::node_capacity;
 
 namespace {
 
 /// Instances the cluster can host with every node's resources pooled into
-/// one cluster-wide pot (the pre-sharding model, kept as the pooled
-/// loops' capacity). Each resource dimension bounds capacity
+/// one cluster-wide pot (the reference loop's capacity; config.nodes only
+/// scales it). Each resource dimension bounds capacity
 /// independently: a memory-only (or cpu-only) deployment is limited by
 /// its nonzero dimension alone.
 std::size_t cluster_capacity(const ResourceUsage& usage,
@@ -78,1250 +74,17 @@ ClusterResult ClusterSimulator::run(const Backend& backend,
                       obs::mint_request_ids(arrival_times.size()));
 }
 
-ClusterResult ClusterSimulator::run_reference(
-    const Backend& backend, std::size_t cascading_stages) const {
-  Rng rng(config_.seed);
-  ArrivalGenerator arrivals(config_.arrivals, config_.offered_rps,
-                            rng.split());
-  const std::vector<TimeMs> arrival_times =
-      arrivals.generate(config_.horizon_ms);
-  return run_prepared_reference(backend, cascading_stages, arrival_times,
-                                obs::mint_request_ids(arrival_times.size()));
-}
-
-// ---------------------------------------------------------------------------
-// Sharded typed-event hot path.
-//
-// Every node owns its own capacity, warm-instance ring, and waiting
-// queue, and the Router places each dispatch. The loop keeps the pooled
-// loop's event discipline — the lazy arrival merge, the timeout ring,
-// tombstoned queues, all allocation-free in steady state — so a one-node
-// run issues the identical schedule() sequence, draws the Rng in the
-// identical order, and performs the identical float arithmetic as
-// run_prepared_pooled below: their ClusterResults are bit-identical
-// (asserted by ClusterParityTest), which chains the sharded loop to the
-// original closure-loop oracle.
-// ---------------------------------------------------------------------------
+// Every node count runs on the windowed engine (cluster_parallel.cc): one
+// shard per node, advancing in conservative time windows. A one-node run
+// is a single shard in a single window (unless a node crash cuts it), and
+// is bit-identical to run_prepared_reference (asserted by
+// ClusterParityTest); any thread count replays the one-thread schedule
+// bit-for-bit (ShardedParallelParityTest).
 ClusterResult ClusterSimulator::run_prepared(
     const Backend& backend, std::size_t cascading_stages,
     const std::vector<TimeMs>& arrival_times, std::uint64_t id_base) const {
-  const std::uint32_t node_count =
-      static_cast<std::uint32_t>(std::max<std::size_t>(1, config_.nodes));
-  if (node_count > 1) {
-    // Multi-node runs execute on the windowed conservative-PDES engine
-    // (cluster_parallel.cc): per-node event shards advancing in time
-    // windows, cross-node retries and crash drains delivered at window
-    // barriers. Its sim_threads == 1 schedule IS the sequential
-    // semantics; higher thread counts replay it bit-identically
-    // (ShardedParallelParityTest). The single-node path below stays on
-    // the global-heap loop, byte-identical to the pooled loop under
-    // every policy — the retained oracle chain.
-    return cluster_detail::run_prepared_windowed(
-        config_, params_, backend, cascading_stages, arrival_times, id_base);
-  }
-  const std::size_t per_node_capacity =
-      node_capacity(backend.resources(), params_);
-  const std::size_t n = arrival_times.size();
-
-  // Reconstruct the seeded stream exactly as run() threads it: the first
-  // split fed the arrival generator, the second (further below) drives
-  // service times, and the third seeds the router — taken last so the
-  // first two streams match the pooled loop draw-for-draw.
-  Rng rng(config_.seed);
-  (void)rng.split();
-
-  ClusterResult result;
-  result.offered = n;
-  result.request_id_base = id_base;
-  result.node_results.resize(node_count);
-
-  const FaultInjector injector(config_.faults);
-  const RetryPolicy& retry = config_.retry;
-  const bool has_timeout = retry.timeout_ms > 0.0;
-  const bool sorted_arrivals =
-      std::is_sorted(arrival_times.begin(), arrival_times.end());
-
-  // Observability sinks: all cluster events carry *simulated* timestamps.
-  obs::Tracer* tracer =
-      config_.tracer && config_.tracer->enabled() ? config_.tracer : nullptr;
-  obs::MetricsRegistry* metrics = config_.metrics;
-  const int request_track =
-      tracer ? tracer->new_track("cluster.requests", obs::kVirtualPid) : 0;
-  obs::Counter* cold_counter =
-      metrics ? &metrics->counter("cluster.cold_starts") : nullptr;
-  obs::Gauge* queue_gauge =
-      metrics ? &metrics->gauge("cluster.queue_depth") : nullptr;
-  obs::Histogram* latency_hist =
-      metrics ? &metrics->histogram("cluster.e2e_latency_ms") : nullptr;
-  obs::Counter* fault_counter =
-      metrics ? &metrics->counter("chiron.fault.injected") : nullptr;
-  obs::Counter* retry_counter =
-      metrics ? &metrics->counter("chiron.retry.attempts") : nullptr;
-  obs::Counter* timeout_counter =
-      metrics ? &metrics->counter("chiron.request.timeout") : nullptr;
-  obs::FlightRecorder* recorder =
-      config_.recorder && config_.recorder->enabled() ? config_.recorder
-                                                      : nullptr;
-
-  // Per-kind fault sinks resolved once (the pooled loop's trick), plus
-  // the node-crash kind only the sharded loop can fire. Node-crash
-  // victims are counted under their own kind, so the cold_start + crash
-  // == failed invariant of node-crash-free runs is undisturbed.
-  auto kind_index = [](FaultKind kind) -> int {
-    switch (kind) {
-      case FaultKind::kColdStart: return 0;
-      case FaultKind::kCrash: return 1;
-      case FaultKind::kStraggler: return 2;
-      case FaultKind::kNodeCrash: return 3;
-      default: return -1;
-    }
-  };
-  obs::Counter* kind_counter[4] = {nullptr, nullptr, nullptr, nullptr};
-  if (metrics) {
-    kind_counter[0] = &metrics->counter("chiron.fault.injected.cold_start");
-    kind_counter[1] = &metrics->counter("chiron.fault.injected.crash");
-    kind_counter[2] = &metrics->counter("chiron.fault.injected.straggler");
-    kind_counter[3] = &metrics->counter("chiron.fault.injected.node_crash");
-  }
-  const std::string fault_label[4] = {"fault.cold_start", "fault.crash",
-                                      "fault.straggler", "fault.node_crash"};
-
-  // Per-node observability: cluster.node.<k>.{cold_starts,queue_depth}.
-  std::vector<obs::Counter*> node_cold_counter(node_count, nullptr);
-  std::vector<obs::Gauge*> node_queue_gauge(node_count, nullptr);
-  if (metrics) {
-    for (std::uint32_t k = 0; k < node_count; ++k) {
-      const std::string prefix = "cluster.node." + std::to_string(k);
-      node_cold_counter[k] = &metrics->counter(prefix + ".cold_starts");
-      node_queue_gauge[k] = &metrics->gauge(prefix + ".queue_depth");
-    }
-  }
-
-  // The process-unique trace id of arrival `id`.
-  auto rid = [id_base](std::uint64_t id) { return id_base + id; };
-
-  // Per-request recovery state: the pooled ReqState plus the node the
-  // current attempt was placed on.
-  struct ReqState {
-    TimeMs arrival = 0.0;
-    std::uint32_t attempt = 1;
-    std::uint32_t node = 0;  ///< where the current attempt was dispatched
-    enum class Phase : std::uint8_t {
-      kWaiting,   ///< arrival not yet processed
-      kQueued,    ///< waiting for capacity on `node`
-      kRunning,   ///< on an instance of `node`
-      kBackoff,   ///< waiting to re-attempt (pending_ev = retry)
-      kDone,
-    } phase = Phase::kWaiting;
-    ClusterEventQueue::Handle pending_ev{};
-    ClusterEventQueue::Handle timeout_ev{};
-    bool has_timeout_ev = false;
-  };
-  std::vector<ReqState> reqs(n);
-
-  auto count_fault = [&](FaultKind kind, std::uint32_t id,
-                         std::uint32_t attempt, TimeMs now,
-                         double value = 0.0) {
-    const int k = kind_index(kind);
-    if (fault_counter) fault_counter->inc();
-    if (k >= 0 && kind_counter[k]) kind_counter[k]->inc();
-    if (tracer && k >= 0) {
-      tracer->instant_at(fault_label[k], "fault", obs::kVirtualPid,
-                         request_track, now,
-                         {{"request", static_cast<double>(rid(id))},
-                          {"attempt", static_cast<double>(attempt)}});
-    }
-    if (recorder) {
-      recorder->record(fault_rec_kind(kind), rid(id), attempt, now, value,
-                       static_cast<std::int32_t>(reqs[id].node));
-    }
-  };
-
-  // Per-node serving state. Warm rings stay monotone (pushes happen at
-  // event times), queues tombstone timed-out entries lazily — exactly
-  // the pooled structures, one set per node. The cluster-wide totals
-  // drive the global accounting (busy_area, peak_instances, peak_queue)
-  // with the same arithmetic the pooled loop performs.
-  struct NodeState {
-    Ring<TimeMs> warm;
-    Ring<std::uint32_t> queue;
-    std::size_t live = 0;  ///< busy + warm instances on this node
-    std::size_t busy = 0;
-    std::size_t queued_live = 0;  ///< queue entries minus tombstones
-  };
-  std::vector<NodeState> nodes(node_count);
-  for (NodeState& node : nodes) {
-    node.warm.reserve(std::min(per_node_capacity, n) + 1);
-    node.queue.reserve(n + 1);  // a request occupies at most one entry
-  }
-  std::size_t live_total = 0;
-  std::size_t busy_total = 0;
-  std::size_t queued_total = 0;
-
-  // Router views are refreshed in place before every pick: plain integer
-  // stores, no allocation.
-  std::vector<RouterNodeView> views(node_count);
-
-  // Constant-delay timeouts form their own sorted stream exactly as in
-  // the pooled loop (see run_prepared_pooled for the full rationale).
-  struct TimeoutEntry {
-    TimeMs at;
-    std::uint64_t seq;
-    std::uint32_t id;
-  };
-  const bool use_timeout_ring = has_timeout && sorted_arrivals;
-  Ring<TimeoutEntry> timeout_ring;
-  if (use_timeout_ring) timeout_ring.reserve(n + 1);
-
-  auto note_queue_depth = [&](TimeMs now) {
-    if (queue_gauge) queue_gauge->set(static_cast<double>(queued_total));
-    if (tracer) {
-      tracer->counter_at("cluster.queue_depth",
-                         static_cast<double>(queued_total), obs::kVirtualPid,
-                         0, now);
-    }
-  };
-  auto note_node_queue = [&](std::uint32_t k) {
-    if (node_queue_gauge[k]) {
-      node_queue_gauge[k]->set(static_cast<double>(nodes[k].queued_live));
-    }
-  };
-
-  std::vector<double> latencies;
-  latencies.reserve(n);
-  double busy_area = 0.0;  // integral of busy instances over time
-  TimeMs last_event = 0.0;
-  Rng run_rng = rng.split();  // second split: service times (pooled order)
-  Router router(config_.router, node_count, rng.split());  // third split
-
-  // Event slab sized as in the pooled loop, plus one slot per scheduled
-  // node crash and heap slack for the cancellations its victims cause.
-  const std::size_t crash_events =
-      config_.faults.node_crash > 0.0 ? node_count : 0;
-  const std::size_t crash_slack =
-      crash_events * std::min(per_node_capacity, n);
-  ClusterEventQueue events;
-  events.reserve(2 * n + crash_events + 8,
-                 4 * n + crash_events + crash_slack + 8);
-  const TimeMs cold_penalty = cold_start_penalty(params_, cascading_stages);
-
-  auto account = [&](TimeMs now) {
-    busy_area += static_cast<double>(busy_total) * (now - last_event);
-    last_event = now;
-  };
-
-  // Reclaims one node's warm instances idle past the keep-alive: expired
-  // entries are exactly a prefix of the monotone ring.
-  auto reap_node = [&](std::uint32_t k, TimeMs now) {
-    NodeState& node = nodes[k];
-    while (!node.warm.empty() &&
-           now - node.warm.front() >= config_.keep_alive_ms) {
-      node.warm.pop_front();
-      --node.live;
-      --live_total;
-    }
-  };
-  auto reap_all = [&](TimeMs now) {
-    for (std::uint32_t k = 0; k < node_count; ++k) reap_node(k, now);
-  };
-
-  // Marks `id` terminal and disarms its outstanding timeout (in ring
-  // mode the ring entry becomes a lazy tombstone).
-  auto finalize = [&](std::uint32_t id) {
-    ReqState& r = reqs[id];
-    r.phase = ReqState::Phase::kDone;
-    if (r.has_timeout_ev) {
-      if (!use_timeout_ring) events.cancel(r.timeout_ev);
-      r.has_timeout_ev = false;
-    }
-  };
-
-  auto end_request_span = [&](std::uint32_t id, TimeMs now) {
-    if (tracer) {
-      tracer->async_end_at("request", "sim", obs::kVirtualPid, request_track,
-                           now, rid(id));
-    }
-  };
-
-  // Pops node `k`'s next still-live queued request, skipping tombstones.
-  auto take_queued = [&](std::uint32_t k) -> std::optional<std::uint32_t> {
-    NodeState& node = nodes[k];
-    while (!node.queue.empty()) {
-      const std::uint32_t id = node.queue.pop_front();
-      if (reqs[id].phase == ReqState::Phase::kQueued) {
-        --node.queued_live;
-        --queued_total;
-        note_node_queue(k);
-        return id;
-      }
-    }
-    return std::nullopt;
-  };
-
-  // Handles one failed attempt at time `t`: schedules a capped-exponential
-  // backoff retry, or drops the request once attempts are exhausted.
-  auto fail_attempt = [&](std::uint32_t id, TimeMs t, TimeMs extra_delay) {
-    ReqState& r = reqs[id];
-    ++result.failed;
-    if (r.attempt < retry.max_attempts) {
-      ++result.retried;
-      if (retry_counter) retry_counter->inc();
-      const TimeMs backoff = injector.retry_backoff_ms(retry, r.attempt, id);
-      if (tracer) {
-        tracer->complete_at("retry.backoff", "fault", obs::kVirtualPid,
-                            request_track, t, extra_delay + backoff,
-                            {{"attempt", static_cast<double>(r.attempt)},
-                             {"request", static_cast<double>(rid(id))}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kRetryBackoff, rid(id), r.attempt, t,
-                         extra_delay + backoff,
-                         static_cast<std::int32_t>(r.node));
-      }
-      ++r.attempt;
-      r.phase = ReqState::Phase::kBackoff;
-      r.pending_ev =
-          events.schedule(t + extra_delay + backoff,
-                          ClusterEvent{ClusterEvent::Kind::kRetry, id});
-    } else {
-      ++result.dropped;
-      if (recorder) {
-        recorder->record(obs::RecKind::kDrop, rid(id), r.attempt, t, 0.0,
-                         static_cast<std::int32_t>(r.node));
-      }
-      finalize(id);
-      end_request_span(id, t);
-    }
-  };
-
-  // Places `id` on an instance of its node at `now` (startup = 0 for warm
-  // reuse) and schedules its completion — or its mid-execution crash.
-  auto begin_service = [&](std::uint32_t id, TimeMs now, TimeMs startup) {
-    ReqState& r = reqs[id];
-    r.phase = ReqState::Phase::kRunning;
-    ++nodes[r.node].busy;
-    ++busy_total;
-    TimeMs service = backend.run(run_rng).e2e_latency_ms;
-    if (injector.straggles(id, r.attempt)) {
-      service *= config_.faults.straggler_multiplier;
-      count_fault(FaultKind::kStraggler, id, r.attempt, now,
-                  config_.faults.straggler_multiplier);
-    }
-    if (recorder) {
-      recorder->record(obs::RecKind::kServiceBegin, rid(id), r.attempt, now,
-                       service, static_cast<std::int32_t>(r.node));
-    }
-    if (injector.crashes(id, r.attempt)) {
-      const TimeMs crash_at =
-          now + startup + service * config_.faults.crash_point;
-      r.pending_ev = events.schedule(
-          crash_at, ClusterEvent{ClusterEvent::Kind::kCrash, id});
-      return;
-    }
-    const TimeMs finish = now + startup + service;
-    r.pending_ev = events.schedule(
-        finish, ClusterEvent{ClusterEvent::Kind::kCompletion, id});
-  };
-
-  // Places `id` on node `k` — routing already decided: warm reuse, cold
-  // start if the node has headroom, else the node's queue.
-  auto dispatch_to = [&](std::uint32_t id, std::uint32_t k, TimeMs now) {
-    account(now);
-    reap_node(k, now);
-    ReqState& r = reqs[id];
-    r.node = k;
-    ++result.node_results[k].routed;
-    NodeState& node = nodes[k];
-    if (!node.warm.empty()) {
-      node.warm.pop_back();  // LIFO keeps hot instances hot
-      begin_service(id, now, 0.0);
-    } else if (node.live < per_node_capacity) {
-      if (injector.cold_start_fails(id, r.attempt)) {
-        // The sandbox dies during boot: the boot time is still paid (it
-        // delays the retry) but no instance comes up.
-        count_fault(FaultKind::kColdStart, id, r.attempt, now, cold_penalty);
-        fail_attempt(id, now, cold_penalty);
-        return;
-      }
-      ++node.live;
-      ++live_total;
-      result.peak_instances = std::max(result.peak_instances, live_total);
-      ++result.cold_starts;
-      ++result.node_results[k].cold_starts;
-      if (cold_counter) cold_counter->inc();
-      if (node_cold_counter[k]) node_cold_counter[k]->inc();
-      if (tracer) {
-        tracer->instant_at("cluster.cold_start", "sim", obs::kVirtualPid,
-                           request_track, now,
-                           {{"request", static_cast<double>(rid(id))},
-                            {"node", static_cast<double>(k)}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kColdStart, rid(id), r.attempt, now,
-                         cold_penalty, static_cast<std::int32_t>(k));
-      }
-      begin_service(id, now, cold_penalty);
-    } else {
-      r.phase = ReqState::Phase::kQueued;
-      node.queue.push_back(id);
-      ++node.queued_live;
-      ++queued_total;
-      result.peak_queue = std::max(result.peak_queue, queued_total);
-      result.node_results[k].peak_queue =
-          std::max(result.node_results[k].peak_queue, node.queued_live);
-      if (recorder) {
-        recorder->record(obs::RecKind::kQueue, rid(id), r.attempt, now,
-                         static_cast<double>(node.queued_live),
-                         static_cast<std::int32_t>(k));
-      }
-      note_node_queue(k);
-      note_queue_depth(now);
-    }
-  };
-
-  // Routes one dispatch: reap everywhere first so the router sees
-  // accurate warm counts, refresh the views, pick, place.
-  auto start_request = [&](std::uint32_t id, TimeMs now) {
-    account(now);
-    reap_all(now);
-    for (std::uint32_t k = 0; k < node_count; ++k) {
-      views[k].outstanding =
-          static_cast<std::uint32_t>(nodes[k].busy + nodes[k].queued_live);
-      views[k].warm = static_cast<std::uint32_t>(nodes[k].warm.size());
-    }
-    dispatch_to(id, router.pick(views.data(), node_count), now);
-  };
-
-  for (std::size_t i = 0; i < n; ++i) reqs[i].arrival = arrival_times[i];
-
-  // Arrival merge: identical to the pooled loop (sorted arrivals never
-  // enter the heap; ties go to the arrival).
-  std::size_t next_arrival = 0;
-  if (!sorted_arrivals) {
-    for (std::size_t i = 0; i < n; ++i) {
-      events.schedule(arrival_times[i],
-                      ClusterEvent{ClusterEvent::Kind::kArrival,
-                                   static_cast<std::uint32_t>(i)});
-    }
-    next_arrival = n;
-  }
-
-  // Seeded node crashes enter the heap before the loop starts: each node
-  // crashes at most once, at a seeded fraction of the horizon. With
-  // node_crash == 0 nothing is scheduled, so the seq stream matches the
-  // pooled loop exactly.
-  if (config_.faults.node_crash > 0.0) {
-    for (std::uint32_t k = 0; k < node_count; ++k) {
-      if (!injector.node_crashes(k)) continue;
-      const TimeMs crash_at = config_.horizon_ms * injector.node_crash_frac(k);
-      events.schedule(crash_at,
-                      ClusterEvent{ClusterEvent::Kind::kNodeCrash, k});
-    }
-  }
-  // Scratch for re-routing a crashed node's queue (reserved only when a
-  // node crash can fire, so the healthy loop's allocation count is
-  // unchanged).
-  std::vector<std::uint32_t> requeue;
-  if (config_.faults.node_crash > 0.0) requeue.reserve(n);
-
-  auto next_event = [&](TimeMs* at, ClusterEvent* ev) -> bool {
-    // Drop tombstoned timeouts (finalized requests) off the ring front.
-    while (!timeout_ring.empty() &&
-           !reqs[timeout_ring.front().id].has_timeout_ev) {
-      timeout_ring.pop_front();
-    }
-    TimeMs heap_at = 0.0;
-    std::uint64_t heap_seq = 0;
-    const bool have_heap = events.peek(&heap_at, &heap_seq);
-    if (next_arrival < n) {
-      const TimeMs arrival_at = arrival_times[next_arrival];
-      if ((!have_heap || arrival_at <= heap_at) &&
-          (timeout_ring.empty() || arrival_at <= timeout_ring.front().at)) {
-        *at = arrival_at;
-        *ev = ClusterEvent{ClusterEvent::Kind::kArrival,
-                           static_cast<std::uint32_t>(next_arrival)};
-        ++next_arrival;
-        events.advance_to(arrival_at);
-        return true;
-      }
-    }
-    if (!timeout_ring.empty()) {
-      const TimeoutEntry& front = timeout_ring.front();
-      if (!have_heap || front.at < heap_at ||
-          (front.at == heap_at && front.seq < heap_seq)) {
-        *at = front.at;
-        *ev = ClusterEvent{ClusterEvent::Kind::kTimeout, front.id};
-        timeout_ring.pop_front();
-        events.advance_to(*at);
-        return true;
-      }
-    }
-    return events.pop(at, ev);
-  };
-
-  TimeMs at = 0.0;
-  ClusterEvent ev;
-  while (next_event(&at, &ev)) {
-    const std::uint32_t id = ev.id;
-    switch (ev.kind) {
-      case ClusterEvent::Kind::kArrival: {
-        if (tracer) {
-          tracer->async_begin_at("request", "sim", obs::kVirtualPid,
-                                 request_track, at, rid(id));
-        }
-        if (recorder) {
-          recorder->record(obs::RecKind::kAdmit, rid(id), 1, at);
-        }
-        if (has_timeout) {
-          reqs[id].has_timeout_ev = true;
-          if (use_timeout_ring) {
-            timeout_ring.push_back(
-                TimeoutEntry{at + retry.timeout_ms, events.mint_seq(), id});
-          } else {
-            reqs[id].timeout_ev = events.schedule(
-                at + retry.timeout_ms,
-                ClusterEvent{ClusterEvent::Kind::kTimeout, id});
-          }
-        }
-        start_request(id, at);
-        break;
-      }
-      case ClusterEvent::Kind::kCompletion: {
-        account(at);
-        ReqState& r = reqs[id];
-        const std::uint32_t k = r.node;
-        --nodes[k].busy;
-        --busy_total;
-        const TimeMs latency = at - r.arrival;
-        latencies.push_back(latency);
-        ++result.completed;
-        ++result.node_results[k].completed;
-        if (recorder) {
-          recorder->record(obs::RecKind::kComplete, rid(id), r.attempt, at,
-                           latency, static_cast<std::int32_t>(k));
-        }
-        finalize(id);
-        if (latency_hist) latency_hist->observe(latency);
-        end_request_span(id, at);
-        if (const auto qid = take_queued(k)) {
-          note_queue_depth(at);
-          // The finishing instance is handed to the queued request
-          // directly (it stays on its node): it never visits the warm
-          // pool, so reap cannot reclaim it out from under the handoff.
-          reap_node(k, at);
-          begin_service(*qid, at, 0.0);
-        } else {
-          nodes[k].warm.push_back(at);
-        }
-        break;
-      }
-      case ClusterEvent::Kind::kCrash: {
-        account(at);
-        ReqState& r = reqs[id];
-        const std::uint32_t k = r.node;
-        --nodes[k].busy;
-        --busy_total;
-        --nodes[k].live;
-        --live_total;  // the crash takes the sandbox with it
-        count_fault(FaultKind::kCrash, id, r.attempt, at);
-        fail_attempt(id, at, 0.0);
-        // The crash freed a slot on this node: a queued request can now
-        // cold-start here (no re-route; the queue is node-local).
-        if (const auto qid = take_queued(k)) {
-          note_queue_depth(at);
-          dispatch_to(*qid, k, at);
-        }
-        break;
-      }
-      case ClusterEvent::Kind::kRetry: {
-        start_request(id, at);  // re-routes: the dispatcher re-decides
-        break;
-      }
-      case ClusterEvent::Kind::kTimeout: {
-        // Abandons `id` at its deadline, wherever it is.
-        ReqState& r = reqs[id];
-        r.has_timeout_ev = false;
-        ++result.timed_out;
-        if (timeout_counter) timeout_counter->inc();
-        if (tracer) {
-          tracer->instant_at("request.timeout", "fault", obs::kVirtualPid,
-                             request_track, at,
-                             {{"request", static_cast<double>(rid(id))}});
-        }
-        if (recorder) {
-          recorder->record(obs::RecKind::kTimeout, rid(id), r.attempt, at,
-                           0.0, static_cast<std::int32_t>(r.node));
-        }
-        switch (r.phase) {
-          case ReqState::Phase::kQueued: {
-            // Lazy tombstone: the ring entry stays behind and take_queued
-            // skips it; only the live counters move.
-            --nodes[r.node].queued_live;
-            --queued_total;
-            note_node_queue(r.node);
-            note_queue_depth(at);
-            break;
-          }
-          case ReqState::Phase::kRunning: {
-            // The platform aborts the handler but keeps the sandbox.
-            events.cancel(r.pending_ev);
-            account(at);
-            const std::uint32_t k = r.node;
-            --nodes[k].busy;
-            --busy_total;
-            if (const auto qid = take_queued(k)) {
-              note_queue_depth(at);
-              reap_node(k, at);
-              begin_service(*qid, at, 0.0);
-            } else {
-              nodes[k].warm.push_back(at);
-            }
-            break;
-          }
-          case ReqState::Phase::kBackoff:
-            events.cancel(r.pending_ev);
-            break;
-          default:
-            break;
-        }
-        r.phase = ReqState::Phase::kDone;
-        end_request_span(id, at);
-        break;
-      }
-      case ClusterEvent::Kind::kNodeCrash: {
-        const std::uint32_t k = id;  // node index, not a request
-        account(at);
-        NodeState& node = nodes[k];
-        ++result.node_crashes;
-        ++result.node_results[k].node_crashes;
-        if (tracer) {
-          tracer->instant_at("fault.node_crash", "fault", obs::kVirtualPid,
-                             request_track, at,
-                             {{"node", static_cast<double>(k)},
-                              {"victims", static_cast<double>(node.busy)}});
-        }
-        if (recorder) {
-          recorder->record(obs::RecKind::kNodeCrash, 0, 0, at,
-                           static_cast<double>(node.busy),
-                           static_cast<std::int32_t>(k));
-        }
-        // Fail every in-flight attempt on the node. O(requests), but a
-        // node crashes at most once per run.
-        for (std::uint32_t victim = 0;
-             victim < static_cast<std::uint32_t>(n); ++victim) {
-          ReqState& r = reqs[victim];
-          if (r.phase != ReqState::Phase::kRunning || r.node != k) continue;
-          events.cancel(r.pending_ev);
-          --node.busy;
-          --busy_total;
-          --node.live;
-          --live_total;
-          count_fault(FaultKind::kNodeCrash, victim, r.attempt, at,
-                      static_cast<double>(k));
-          fail_attempt(victim, at, 0.0);
-        }
-        // The warm pool dies with the node.
-        while (!node.warm.empty()) {
-          node.warm.pop_front();
-          --node.live;
-          --live_total;
-        }
-        // Queued requests go back through the router; the node itself
-        // restarts immediately (cold), so the router may well pick it
-        // again.
-        requeue.clear();
-        while (auto qid = take_queued(k)) requeue.push_back(*qid);
-        if (!requeue.empty()) note_queue_depth(at);
-        for (const std::uint32_t q : requeue) start_request(q, at);
-        break;
-      }
-    }
-  }
-
-  if (!latencies.empty()) {
-    result.mean_ms = mean_of(latencies);
-    const Cdf cdf(latencies);  // one sort for all three quantiles
-    result.p50_ms = cdf.quantile(0.50);
-    result.p95_ms = cdf.quantile(0.95);
-    result.p99_ms = cdf.quantile(0.99);
-  }
-  // Streaming accumulator in completion order (deterministic: virtual
-  // time), merged across seeds by run_batch.
-  for (double latency : latencies) result.latency_stats.add(latency);
-  const TimeMs span = std::max(last_event, config_.horizon_ms);
-  result.achieved_rps =
-      span > 0.0 ? static_cast<double>(result.completed) / (span / 1000.0)
-                 : 0.0;
-  result.mean_busy_instances = span > 0.0 ? busy_area / span : 0.0;
-  if (metrics) {
-    metrics->gauge("cluster.peak_instances")
-        .set(static_cast<double>(result.peak_instances));
-  }
-  CHIRON_LOG(kDebug) << "cluster sim (" << node_count << " nodes, "
-                     << to_string(config_.router)
-                     << "): " << result.completed << "/" << result.offered
-                     << " requests, " << result.cold_starts
-                     << " cold starts, " << result.failed << " faults, "
-                     << result.retried << " retries, " << result.timed_out
-                     << " timeouts, " << result.dropped
-                     << " drops, peak queue " << result.peak_queue << ", "
-                     << result.node_crashes << " node crashes";
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Pooled typed-event loop (pre-sharding model).
-//
-// Same state machine as run_prepared_reference below, expressed as a
-// switch over POD {kind, id} events instead of per-request capturing
-// closures. Both loops issue identical schedule() sequences under the
-// identical (time, seq) FIFO order, draw from the Rng in the identical
-// order, and perform the identical float arithmetic — so their
-// ClusterResults are bit-identical (asserted by ClusterParityTest). The
-// sharded run_prepared above is in turn bit-identical to this loop at
-// nodes == 1, completing the oracle chain.
-// ---------------------------------------------------------------------------
-ClusterResult ClusterSimulator::run_prepared_pooled(
-    const Backend& backend, std::size_t cascading_stages,
-    const std::vector<TimeMs>& arrival_times, std::uint64_t id_base) const {
-  const std::size_t max_instances =
-      cluster_capacity(backend.resources(), params_, config_);
-  const std::size_t n = arrival_times.size();
-
-  // Reconstruct the seeded stream exactly as run() threads it: the first
-  // split fed the arrival generator, the second (below) drives service
-  // times.
-  Rng rng(config_.seed);
-  (void)rng.split();
-
-  ClusterResult result;
-  result.offered = n;
-
-  // Request causality: every request of this run carries a process-unique
-  // trace id from the pre-minted block; recorder and tracer events are
-  // keyed by it. Fault decisions keep hashing the arrival *index*, so the
-  // minted ids never change a seeded run's outcome.
-  result.request_id_base = id_base;
-
-  const FaultInjector injector(config_.faults);
-  const RetryPolicy& retry = config_.retry;
-  const bool has_timeout = retry.timeout_ms > 0.0;
-  // Sorted arrivals (what ArrivalGenerator emits) unlock the two stream
-  // merges below: lazy arrival admission and the timeout ring. Unsorted
-  // times — possible through the public run_prepared — fall back to
-  // heaping everything, which is also the reference's order.
-  const bool sorted_arrivals =
-      std::is_sorted(arrival_times.begin(), arrival_times.end());
-
-  // Observability sinks: all cluster events carry *simulated* timestamps.
-  obs::Tracer* tracer =
-      config_.tracer && config_.tracer->enabled() ? config_.tracer : nullptr;
-  obs::MetricsRegistry* metrics = config_.metrics;
-  const int request_track =
-      tracer ? tracer->new_track("cluster.requests", obs::kVirtualPid) : 0;
-  obs::Counter* cold_counter =
-      metrics ? &metrics->counter("cluster.cold_starts") : nullptr;
-  obs::Gauge* queue_gauge =
-      metrics ? &metrics->gauge("cluster.queue_depth") : nullptr;
-  obs::Histogram* latency_hist =
-      metrics ? &metrics->histogram("cluster.e2e_latency_ms") : nullptr;
-  obs::Counter* fault_counter =
-      metrics ? &metrics->counter("chiron.fault.injected") : nullptr;
-  obs::Counter* retry_counter =
-      metrics ? &metrics->counter("chiron.retry.attempts") : nullptr;
-  obs::Counter* timeout_counter =
-      metrics ? &metrics->counter("chiron.request.timeout") : nullptr;
-  obs::FlightRecorder* recorder =
-      config_.recorder && config_.recorder->enabled() ? config_.recorder
-                                                      : nullptr;
-
-  // Per-kind fault sinks resolved once, not per event: the reference loop
-  // pays a std::string("chiron.fault.injected.") + to_string(kind) build
-  // and a registry hash lookup on every injected fault. Only the three
-  // kinds the serving loop can fire are mapped (transfer faults belong to
-  // the plan backends).
-  auto kind_index = [](FaultKind kind) -> int {
-    switch (kind) {
-      case FaultKind::kColdStart: return 0;
-      case FaultKind::kCrash: return 1;
-      case FaultKind::kStraggler: return 2;
-      default: return -1;
-    }
-  };
-  obs::Counter* kind_counter[3] = {nullptr, nullptr, nullptr};
-  if (metrics) {
-    kind_counter[0] = &metrics->counter("chiron.fault.injected.cold_start");
-    kind_counter[1] = &metrics->counter("chiron.fault.injected.crash");
-    kind_counter[2] = &metrics->counter("chiron.fault.injected.straggler");
-  }
-  const std::string fault_label[3] = {"fault.cold_start", "fault.crash",
-                                      "fault.straggler"};
-
-  // The process-unique trace id of arrival `id`.
-  auto rid = [id_base](std::uint64_t id) { return id_base + id; };
-
-  auto count_fault = [&](FaultKind kind, std::uint32_t id,
-                         std::uint32_t attempt, TimeMs now,
-                         double value = 0.0) {
-    const int k = kind_index(kind);
-    if (fault_counter) fault_counter->inc();
-    if (k >= 0 && kind_counter[k]) kind_counter[k]->inc();
-    if (tracer && k >= 0) {
-      tracer->instant_at(fault_label[k], "fault", obs::kVirtualPid,
-                         request_track, now,
-                         {{"request", static_cast<double>(rid(id))},
-                          {"attempt", static_cast<double>(attempt)}});
-    }
-    if (recorder) {
-      recorder->record(fault_rec_kind(kind), rid(id), attempt, now, value);
-    }
-  };
-
-  // Instance states. The warm pool holds the idle-since time of each
-  // resident but idle instance; pushes happen at event times, which only
-  // move forward, so the ring is monotone non-decreasing — expiry is a
-  // pop-front-while-expired prefix (O(1) amortized, vs the reference
-  // loop's O(W) scan + vector::erase) and reuse pops the hottest
-  // instance from the back (LIFO).
-  Ring<TimeMs> warm;
-  warm.reserve(std::min(max_instances, n) + 1);
-  std::size_t live = 0;  // busy + warm instances
-  std::size_t busy = 0;
-
-  // Per-request recovery state. A request is terminal (kDone) exactly once:
-  // completed, timed out, or dropped after max_attempts.
-  struct ReqState {
-    TimeMs arrival = 0.0;
-    std::uint32_t attempt = 1;
-    enum class Phase : std::uint8_t {
-      kWaiting,   ///< arrival not yet processed
-      kQueued,    ///< waiting for capacity
-      kRunning,   ///< on an instance (pending_ev = completion or crash)
-      kBackoff,   ///< waiting to re-attempt (pending_ev = retry)
-      kDone,
-    } phase = Phase::kWaiting;
-    ClusterEventQueue::Handle pending_ev{};
-    ClusterEventQueue::Handle timeout_ev{};
-    bool has_timeout_ev = false;
-  };
-  std::vector<ReqState> reqs(n);
-
-  // Waiting request ids. Timed-out entries are *lazy tombstones*: they
-  // stay in the ring (their ReqState is kDone) and are skipped when
-  // popped, so a timeout never pays the reference loop's O(Q) std::find +
-  // erase. `queued_live` counts the non-tombstoned entries and is what
-  // peak_queue / cluster.queue_depth report — the ring's raw size would
-  // over-count tombstones.
-  Ring<std::uint32_t> queue;
-  queue.reserve(n + 1);  // a request occupies at most one entry at a time
-  std::size_t queued_live = 0;
-
-  // Constant-delay timeouts form their own sorted stream: deadlines are
-  // arrival + timeout_ms over nondecreasing arrivals, so the earliest
-  // pending timeout is always the ring front — no heap entry, no
-  // O(log n) sift per request. Timeouts disarmed by finalize stay behind
-  // as lazy tombstones (has_timeout_ev == false) and are skipped at the
-  // front. Each entry carries the seq the reference would have stamped on
-  // its schedule() call (minted from the shared counter), so the
-  // three-way merge in next_event reproduces the single-queue (time, seq)
-  // order exactly, ties included.
-  struct TimeoutEntry {
-    TimeMs at;
-    std::uint64_t seq;
-    std::uint32_t id;
-  };
-  const bool use_timeout_ring = has_timeout && sorted_arrivals;
-  Ring<TimeoutEntry> timeout_ring;
-  if (use_timeout_ring) timeout_ring.reserve(n + 1);
-
-  auto note_queue_depth = [&](TimeMs now) {
-    if (queue_gauge) queue_gauge->set(static_cast<double>(queued_live));
-    if (tracer) {
-      tracer->counter_at("cluster.queue_depth",
-                         static_cast<double>(queued_live), obs::kVirtualPid,
-                         0, now);
-    }
-  };
-
-  std::vector<double> latencies;
-  latencies.reserve(n);
-  double busy_area = 0.0;  // integral of busy instances over time
-  TimeMs last_event = 0.0;
-  Rng run_rng = rng.split();
-  std::size_t routed = 0;  // dispatches placed (mirrors NodeResult::routed)
-
-  // Event slab sized for the worst case so the loop never allocates:
-  // arrivals are merged in from the sorted vector (below) and never enter
-  // the heap, so live events are bounded by two per admitted request
-  // (pending + timeout) = 2n slots; the heap additionally holds one stale
-  // entry per cancel, and a request cancels at most twice over its
-  // lifetime (its timeout disarms once; a firing timeout cancels one
-  // pending event), so 4n entries bound the heap.
-  ClusterEventQueue events;
-  events.reserve(2 * n + 8, 4 * n + 8);
-  const TimeMs cold_penalty = cold_start_penalty(params_, cascading_stages);
-
-  auto account = [&](TimeMs now) {
-    busy_area += static_cast<double>(busy) * (now - last_event);
-    last_event = now;
-  };
-
-  // Reclaims warm instances idle past the keep-alive: expired entries are
-  // exactly a prefix of the monotone ring.
-  auto reap = [&](TimeMs now) {
-    while (!warm.empty() && now - warm.front() >= config_.keep_alive_ms) {
-      warm.pop_front();
-      --live;
-    }
-  };
-
-  // Marks `id` terminal and disarms its outstanding timeout (in ring
-  // mode the ring entry becomes a lazy tombstone).
-  auto finalize = [&](std::uint32_t id) {
-    ReqState& r = reqs[id];
-    r.phase = ReqState::Phase::kDone;
-    if (r.has_timeout_ev) {
-      if (!use_timeout_ring) events.cancel(r.timeout_ev);
-      r.has_timeout_ev = false;
-    }
-  };
-
-  auto end_request_span = [&](std::uint32_t id, TimeMs now) {
-    if (tracer) {
-      tracer->async_end_at("request", "sim", obs::kVirtualPid, request_track,
-                           now, rid(id));
-    }
-  };
-
-  // Pops the next still-live queued request, skipping timeout tombstones.
-  auto take_queued = [&]() -> std::optional<std::uint32_t> {
-    while (!queue.empty()) {
-      const std::uint32_t id = queue.pop_front();
-      if (reqs[id].phase == ReqState::Phase::kQueued) {
-        --queued_live;
-        return id;
-      }
-    }
-    return std::nullopt;
-  };
-
-  // Handles one failed attempt at time `t`: schedules a capped-exponential
-  // backoff retry, or drops the request once attempts are exhausted.
-  auto fail_attempt = [&](std::uint32_t id, TimeMs t, TimeMs extra_delay) {
-    ReqState& r = reqs[id];
-    ++result.failed;
-    if (r.attempt < retry.max_attempts) {
-      ++result.retried;
-      if (retry_counter) retry_counter->inc();
-      const TimeMs backoff = injector.retry_backoff_ms(retry, r.attempt, id);
-      if (tracer) {
-        tracer->complete_at("retry.backoff", "fault", obs::kVirtualPid,
-                            request_track, t, extra_delay + backoff,
-                            {{"attempt", static_cast<double>(r.attempt)},
-                             {"request", static_cast<double>(rid(id))}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kRetryBackoff, rid(id), r.attempt, t,
-                         extra_delay + backoff);
-      }
-      ++r.attempt;
-      r.phase = ReqState::Phase::kBackoff;
-      r.pending_ev =
-          events.schedule(t + extra_delay + backoff,
-                          ClusterEvent{ClusterEvent::Kind::kRetry, id});
-    } else {
-      ++result.dropped;
-      if (recorder) {
-        recorder->record(obs::RecKind::kDrop, rid(id), r.attempt, t);
-      }
-      finalize(id);
-      end_request_span(id, t);
-    }
-  };
-
-  // Places `id` on an instance at `now` (startup = 0 for warm reuse) and
-  // schedules its completion — or its mid-execution crash.
-  auto begin_service = [&](std::uint32_t id, TimeMs now, TimeMs startup) {
-    ReqState& r = reqs[id];
-    r.phase = ReqState::Phase::kRunning;
-    ++busy;
-    TimeMs service = backend.run(run_rng).e2e_latency_ms;
-    if (injector.straggles(id, r.attempt)) {
-      service *= config_.faults.straggler_multiplier;
-      count_fault(FaultKind::kStraggler, id, r.attempt, now,
-                  config_.faults.straggler_multiplier);
-    }
-    if (recorder) {
-      recorder->record(obs::RecKind::kServiceBegin, rid(id), r.attempt, now,
-                       service);
-    }
-    if (injector.crashes(id, r.attempt)) {
-      const TimeMs crash_at =
-          now + startup + service * config_.faults.crash_point;
-      r.pending_ev = events.schedule(
-          crash_at, ClusterEvent{ClusterEvent::Kind::kCrash, id});
-      return;
-    }
-    const TimeMs finish = now + startup + service;
-    r.pending_ev = events.schedule(
-        finish, ClusterEvent{ClusterEvent::Kind::kCompletion, id});
-  };
-
-  auto start_request = [&](std::uint32_t id, TimeMs now) {
-    account(now);
-    reap(now);
-    ++routed;
-    ReqState& r = reqs[id];
-    if (!warm.empty()) {
-      warm.pop_back();  // LIFO keeps hot instances hot
-      begin_service(id, now, 0.0);
-    } else if (live < max_instances) {
-      if (injector.cold_start_fails(id, r.attempt)) {
-        // The sandbox dies during boot: the boot time is still paid (it
-        // delays the retry) but no instance comes up.
-        count_fault(FaultKind::kColdStart, id, r.attempt, now, cold_penalty);
-        fail_attempt(id, now, cold_penalty);
-        return;
-      }
-      ++live;
-      result.peak_instances = std::max(result.peak_instances, live);
-      ++result.cold_starts;
-      if (cold_counter) cold_counter->inc();
-      if (tracer) {
-        tracer->instant_at("cluster.cold_start", "sim", obs::kVirtualPid,
-                           request_track, now,
-                           {{"request", static_cast<double>(rid(id))}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kColdStart, rid(id), r.attempt, now,
-                         cold_penalty);
-      }
-      begin_service(id, now, cold_penalty);
-    } else {
-      r.phase = ReqState::Phase::kQueued;
-      queue.push_back(id);
-      ++queued_live;
-      result.peak_queue = std::max(result.peak_queue, queued_live);
-      if (recorder) {
-        recorder->record(obs::RecKind::kQueue, rid(id), r.attempt, now,
-                         static_cast<double>(queued_live));
-      }
-      note_queue_depth(now);
-    }
-  };
-
-  for (std::size_t i = 0; i < n; ++i) reqs[i].arrival = arrival_times[i];
-
-  // Arrival merge. ArrivalGenerator emits nondecreasing times, so the
-  // arrival stream needs no heap: the next event is whichever of (next
-  // unfired arrival, heap top) is earlier, keeping the heap at O(live
-  // requests) instead of O(total requests). Ties go to the arrival —
-  // exactly the reference order, where every arrival was scheduled before
-  // the loop began and so outranks any runtime event at the same time.
-  // Unsorted times (possible through the public run_prepared) fall back
-  // to heaping the arrivals, which is also the reference's order: both
-  // schedule them in index order before anything else.
-  std::size_t next_arrival = 0;
-  if (!sorted_arrivals) {
-    for (std::size_t i = 0; i < n; ++i) {
-      events.schedule(arrival_times[i],
-                      ClusterEvent{ClusterEvent::Kind::kArrival,
-                                   static_cast<std::uint32_t>(i)});
-    }
-    next_arrival = n;
-  }
-  auto next_event = [&](TimeMs* at, ClusterEvent* ev) -> bool {
-    // Drop tombstoned timeouts (finalized requests) off the ring front.
-    while (!timeout_ring.empty() &&
-           !reqs[timeout_ring.front().id].has_timeout_ev) {
-      timeout_ring.pop_front();
-    }
-    TimeMs heap_at = 0.0;
-    std::uint64_t heap_seq = 0;
-    const bool have_heap = events.peek(&heap_at, &heap_seq);
-    if (next_arrival < n) {
-      const TimeMs arrival_at = arrival_times[next_arrival];
-      // Arrivals outrank every runtime event at equal times: the
-      // reference scheduled all of them before its loop began, so their
-      // seqs are globally smallest.
-      if ((!have_heap || arrival_at <= heap_at) &&
-          (timeout_ring.empty() || arrival_at <= timeout_ring.front().at)) {
-        *at = arrival_at;
-        *ev = ClusterEvent{ClusterEvent::Kind::kArrival,
-                           static_cast<std::uint32_t>(next_arrival)};
-        ++next_arrival;
-        events.advance_to(arrival_at);
-        return true;
-      }
-    }
-    if (!timeout_ring.empty()) {
-      const TimeoutEntry& front = timeout_ring.front();
-      if (!have_heap || front.at < heap_at ||
-          (front.at == heap_at && front.seq < heap_seq)) {
-        *at = front.at;
-        *ev = ClusterEvent{ClusterEvent::Kind::kTimeout, front.id};
-        timeout_ring.pop_front();
-        events.advance_to(*at);
-        return true;
-      }
-    }
-    return events.pop(at, ev);
-  };
-
-  TimeMs at = 0.0;
-  ClusterEvent ev;
-  while (next_event(&at, &ev)) {
-    const std::uint32_t id = ev.id;
-    switch (ev.kind) {
-      case ClusterEvent::Kind::kArrival: {
-        if (tracer) {
-          tracer->async_begin_at("request", "sim", obs::kVirtualPid,
-                                 request_track, at, rid(id));
-        }
-        if (recorder) {
-          recorder->record(obs::RecKind::kAdmit, rid(id), 1, at);
-        }
-        if (has_timeout) {
-          reqs[id].has_timeout_ev = true;
-          if (use_timeout_ring) {
-            timeout_ring.push_back(
-                TimeoutEntry{at + retry.timeout_ms, events.mint_seq(), id});
-          } else {
-            reqs[id].timeout_ev = events.schedule(
-                at + retry.timeout_ms,
-                ClusterEvent{ClusterEvent::Kind::kTimeout, id});
-          }
-        }
-        start_request(id, at);
-        break;
-      }
-      case ClusterEvent::Kind::kCompletion: {
-        account(at);
-        --busy;
-        const TimeMs latency = at - reqs[id].arrival;
-        latencies.push_back(latency);
-        ++result.completed;
-        if (recorder) {
-          recorder->record(obs::RecKind::kComplete, rid(id), reqs[id].attempt,
-                           at, latency);
-        }
-        finalize(id);
-        if (latency_hist) latency_hist->observe(latency);
-        end_request_span(id, at);
-        if (const auto qid = take_queued()) {
-          note_queue_depth(at);
-          // The finishing instance is handed to the queued request
-          // directly: it never visits the warm pool, so reap() cannot
-          // reclaim it out from under the handoff (the keep_alive_ms == 0
-          // cold-start bug).
-          reap(at);
-          begin_service(*qid, at, 0.0);
-        } else {
-          warm.push_back(at);
-        }
-        break;
-      }
-      case ClusterEvent::Kind::kCrash: {
-        account(at);
-        --busy;
-        --live;  // the crash takes the sandbox with it
-        count_fault(FaultKind::kCrash, id, reqs[id].attempt, at);
-        fail_attempt(id, at, 0.0);
-        // The crash freed a slot: a queued request can now cold-start.
-        if (const auto qid = take_queued()) {
-          note_queue_depth(at);
-          start_request(*qid, at);
-        }
-        break;
-      }
-      case ClusterEvent::Kind::kRetry: {
-        start_request(id, at);
-        break;
-      }
-      case ClusterEvent::Kind::kTimeout: {
-        // Abandons `id` at its deadline, wherever it is.
-        ReqState& r = reqs[id];
-        r.has_timeout_ev = false;
-        ++result.timed_out;
-        if (timeout_counter) timeout_counter->inc();
-        if (tracer) {
-          tracer->instant_at("request.timeout", "fault", obs::kVirtualPid,
-                             request_track, at,
-                             {{"request", static_cast<double>(rid(id))}});
-        }
-        if (recorder) {
-          recorder->record(obs::RecKind::kTimeout, rid(id), r.attempt, at);
-        }
-        switch (r.phase) {
-          case ReqState::Phase::kQueued: {
-            // Lazy tombstone: the ring entry stays behind and take_queued
-            // skips it; only the live counter moves.
-            --queued_live;
-            note_queue_depth(at);
-            break;
-          }
-          case ReqState::Phase::kRunning: {
-            // The platform aborts the handler but keeps the sandbox.
-            events.cancel(r.pending_ev);
-            account(at);
-            --busy;
-            if (const auto qid = take_queued()) {
-              note_queue_depth(at);
-              reap(at);
-              begin_service(*qid, at, 0.0);
-            } else {
-              warm.push_back(at);
-            }
-            break;
-          }
-          case ReqState::Phase::kBackoff:
-            events.cancel(r.pending_ev);
-            break;
-          default:
-            break;
-        }
-        r.phase = ReqState::Phase::kDone;
-        end_request_span(id, at);
-        break;
-      }
-    }
-  }
-
-  // Single pool-wide node entry so a pooled result compares equal
-  // field-for-field to a one-node sharded run.
-  result.node_results.resize(1);
-  result.node_results[0].routed = routed;
-  result.node_results[0].completed = result.completed;
-  result.node_results[0].cold_starts = result.cold_starts;
-  result.node_results[0].peak_queue = result.peak_queue;
-
-  if (!latencies.empty()) {
-    result.mean_ms = mean_of(latencies);
-    const Cdf cdf(latencies);  // one sort for all three quantiles
-    result.p50_ms = cdf.quantile(0.50);
-    result.p95_ms = cdf.quantile(0.95);
-    result.p99_ms = cdf.quantile(0.99);
-  }
-  // Streaming accumulator in completion order (deterministic: virtual
-  // time), merged across seeds by run_batch.
-  for (double latency : latencies) result.latency_stats.add(latency);
-  const TimeMs span = std::max(last_event, config_.horizon_ms);
-  result.achieved_rps =
-      span > 0.0 ? static_cast<double>(result.completed) / (span / 1000.0)
-                 : 0.0;
-  result.mean_busy_instances = span > 0.0 ? busy_area / span : 0.0;
-  if (metrics) {
-    metrics->gauge("cluster.peak_instances")
-        .set(static_cast<double>(result.peak_instances));
-  }
-  CHIRON_LOG(kDebug) << "cluster sim: " << result.completed << "/"
-                     << result.offered << " requests, "
-                     << result.cold_starts << " cold starts, "
-                     << result.failed << " faults, " << result.retried
-                     << " retries, " << result.timed_out << " timeouts, "
-                     << result.dropped << " drops, peak queue "
-                     << result.peak_queue;
-  return result;
+  return cluster_detail::run_prepared_windowed(
+      config_, params_, backend, cascading_stages, arrival_times, id_base);
 }
 
 // ---------------------------------------------------------------------------
@@ -1699,7 +462,7 @@ ClusterResult ClusterSimulator::run_prepared_reference(
   events.run();
 
   // Single pool-wide node entry so the reference result compares equal
-  // field-for-field to the pooled typed loop.
+  // field-for-field to a one-node engine run.
   result.node_results.resize(1);
   result.node_results[0].routed = routed;
   result.node_results[0].completed = result.completed;

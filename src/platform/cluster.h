@@ -34,27 +34,19 @@ class FlightRecorder;
 /// Cluster and load configuration.
 struct ClusterConfig {
   std::size_t nodes = 1;
-  /// How the sharded serving loop places each dispatch across nodes.
-  /// Irrelevant at nodes == 1 (every policy picks node 0 without touching
-  /// its Rng, so single-node runs are policy-independent bit-for-bit).
+  /// How the serving engine places each dispatch across nodes. Never
+  /// consulted at nodes == 1, so single-node runs are policy-independent
+  /// bit-for-bit.
   RouterPolicy router = RouterPolicy::kRoundRobin;
-  /// Worker threads for the windowed multi-node engine (nodes >= 2):
-  /// each node's event shard is driven by a worker from a
-  /// common::ThreadPool, advancing in conservative time windows with
-  /// cross-node events delivered at window barriers. 1 (the default)
-  /// runs the identical windowed schedule inline; results are
-  /// bit-identical for every thread count (ShardedParallelParityTest),
-  /// so this knob trades wall-clock only, never results. 0 = one thread
-  /// per hardware core. Ignored at nodes == 1 (nothing to shard).
+  /// Worker threads for the windowed engine: each node's event shard is
+  /// driven by a worker from a common::ThreadPool, advancing in
+  /// conservative time windows with cross-node events delivered at window
+  /// barriers. 1 (the default) runs the identical windowed schedule
+  /// inline; results are bit-identical for every thread count
+  /// (ShardedParallelParityTest), so this knob trades wall-clock only,
+  /// never results. 0 = one thread per hardware core. Capped at the node
+  /// count, so a one-node run is always sequential.
   std::size_t sim_threads = 1;
-  /// Window width override for the windowed engine, in simulated ms.
-  /// 0 (the default) derives the width from the config: the retry
-  /// backoff floor when cross-node retries are possible, a fixed
-  /// router-fidelity cap when a stateful policy needs fresh snapshots,
-  /// and a single run-length window otherwise. Like sim_threads it
-  /// never affects cross-thread parity — only fidelity of stateful
-  /// routing snapshots and barrier overhead.
-  TimeMs sim_window_ms = 0.0;
   /// Idle instances are reclaimed after this long.
   TimeMs keep_alive_ms = 10000.0;
   /// Simulated duration.
@@ -92,9 +84,9 @@ struct ClusterConfig {
   obs::FlightRecorder* recorder = nullptr;
 };
 
-/// Per-node slice of a sharded run. The pooled loops report a single
-/// entry covering the whole pool, so a one-node sharded run and a pooled
-/// run compare equal field-for-field.
+/// Per-node slice of a run. The reference loop reports a single entry
+/// covering its whole pool, so a one-node engine run and a reference run
+/// compare equal field-for-field.
 struct NodeResult {
   std::size_t routed = 0;       ///< dispatches placed on this node
   std::size_t completed = 0;    ///< requests that finished here
@@ -133,8 +125,8 @@ struct ClusterResult {
   /// as mean/p50/p95/p99, fed in completion order. run_batch merges these
   /// across seeds via RunningStats::merge.
   RunningStats latency_stats;
-  /// Per-node breakdown: one entry per node in the sharded loop; exactly
-  /// one pool-wide entry from the pooled loops.
+  /// Per-node breakdown: one entry per node from the engine; exactly one
+  /// pool-wide entry from the reference loop.
   std::vector<NodeResult> node_results;
 
   /// Exact (bitwise) equality over every field — the sweep determinism
@@ -188,12 +180,6 @@ class ClusterSimulator {
   /// (one-to-one: the workflow's stage count; wrap plans: 1).
   ClusterResult run(const Backend& backend, std::size_t cascading_stages) const;
 
-  /// run() through the retired closure-based serving loop (see
-  /// run_prepared_reference). Exists for parity tests and the
-  /// fast-vs-reference benches; new code should call run().
-  ClusterResult run_reference(const Backend& backend,
-                              std::size_t cascading_stages) const;
-
   /// Scenario-sweep engine: runs every spec under every seed (spec-major
   /// order) and fans the specs.size() * seeds.size() independent runs
   /// across `pool` via ThreadPool::map. Each run gets its own
@@ -210,38 +196,30 @@ class ClusterSimulator {
   /// Simulation core shared by run() and run_batch(): consumes
   /// pre-generated arrival times and a pre-minted request-id block, so
   /// batch runs can mint deterministically before fanning out (and parity
-  /// tests can drive both loops over byte-identical inputs — which is why
-  /// the prepared family is public).
+  /// tests can drive the engine and the oracle over byte-identical inputs
+  /// — which is why the prepared family is public).
   ///
-  /// This is the *sharded* typed-event hot path: every node owns its own
-  /// capacity, warm-instance ring, and waiting queue, and each dispatch
-  /// is placed by the configured Router policy. It remains a
-  /// switch-dispatched POD event stream over a slab-backed
-  /// TypedEventQueue with zero steady-state heap allocations per request.
-  /// At nodes == 1 it is bit-identical to run_prepared_pooled (asserted
-  /// by ClusterParityTest), which anchors it to the closure-loop oracle.
+  /// Runs the windowed engine at every node count: each node owns a
+  /// shard (capacity, warm-instance ring, waiting queue, typed event
+  /// heap), the Router places each dispatch, and shards advance in
+  /// conservative time windows with zero steady-state heap allocations
+  /// per request. The parity chain is reference == engine(nodes=1)
+  /// (ClusterParityTest) plus engine(threads=1) == engine(threads=N)
+  /// (ShardedParallelParityTest).
   ClusterResult run_prepared(const Backend& backend,
                              std::size_t cascading_stages,
                              const std::vector<TimeMs>& arrival_times,
                              std::uint64_t id_base) const;
 
-  /// The pre-sharding typed loop: pools every node's resources into one
-  /// cluster-wide capacity with a single warm pool and queue (so
-  /// config.nodes only scales the capacity, and config.router /
-  /// faults.node_crash are ignored). Kept as the nodes=1-equivalent
-  /// reference anchoring the sharded loop to the original oracle chain:
-  /// ClusterParityTest asserts pooled == closure reference on randomized
-  /// configs and sharded(nodes=1) == pooled, exactly.
-  ClusterResult run_prepared_pooled(const Backend& backend,
-                                    std::size_t cascading_stages,
-                                    const std::vector<TimeMs>& arrival_times,
-                                    std::uint64_t id_base) const;
-
   /// The retired per-request-closure serving loop, kept verbatim as the
   /// parity oracle (the run_slow_reference pattern of the interleave
-  /// kernels): ClusterParityTest asserts it produces bit-identical
-  /// ClusterResults to run_prepared_pooled across randomized configs, and
-  /// bench_micro_cluster measures the fast loop's speedup against it.
+  /// kernels). It pools every node's resources into one cluster-wide
+  /// capacity with a single warm pool and queue, so config.nodes only
+  /// scales the capacity and config.router / faults.node_crash are
+  /// ignored. ClusterParityTest asserts the engine at nodes == 1 (with
+  /// the node scaled to the pool) produces bit-identical ClusterResults
+  /// across randomized configs, and bench_micro_cluster measures the
+  /// engine's speedup against it.
   ClusterResult run_prepared_reference(const Backend& backend,
                                        std::size_t cascading_stages,
                                        const std::vector<TimeMs>& arrival_times,

@@ -1,9 +1,7 @@
-// Internals shared between the sequential serving loops (cluster.cc) and
-// the windowed parallel engine (cluster_parallel.cc): the typed POD event,
-// the power-of-two ring, the capacity arithmetic, and the recorder-kind
-// mapping. Extracted verbatim from cluster.cc's anonymous namespace so the
-// engine performs the identical float arithmetic and identical data-
-// structure discipline — not linked for external use.
+// Internals shared between the reference loop (cluster.cc) and the
+// windowed engine (cluster_parallel.cc): the recorder-kind mapping and
+// the capacity arithmetic, kept in one place so both perform the
+// identical float arithmetic — not linked for external use.
 #pragma once
 
 #include <algorithm>
@@ -15,7 +13,6 @@
 #include "fault/fault.h"
 #include "obs/recorder.h"
 #include "platform/cluster.h"
-#include "sim/event_queue.h"
 
 namespace chiron {
 namespace cluster_detail {
@@ -31,76 +28,6 @@ inline obs::RecKind fault_rec_kind(FaultKind kind) {
   }
 }
 
-/// The serving loop's typed POD event: the whole per-request state machine
-/// dispatches on {kind, request id} — no per-event closures. For
-/// kNodeCrash, `id` is the node index, not a request.
-struct ClusterEvent {
-  enum class Kind : std::uint8_t {
-    kArrival,
-    kTimeout,
-    kCompletion,
-    kCrash,
-    kRetry,
-    kNodeCrash,
-  };
-  Kind kind = Kind::kArrival;
-  std::uint32_t id = 0;
-};
-
-using ClusterEventQueue = TypedEventQueue<ClusterEvent>;
-
-/// Power-of-two ring buffer with push_back / pop_front / pop_back. The
-/// serving loop's waiting queue and warm pool need deque semantics with
-/// zero steady-state allocations, which std::deque's block allocator
-/// cannot promise; reserve() up front makes every later operation
-/// allocation-free as long as the live size stays within the reservation
-/// (growth past it is correct, just no longer allocation-free).
-template <typename T>
-class Ring {
- public:
-  void reserve(std::size_t n) {
-    std::size_t cap = 8;
-    while (cap < n + 1) cap <<= 1;
-    if (cap > buf_.size()) rebuild(cap);
-  }
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  const T& front() const { return buf_[head_ & (buf_.size() - 1)]; }
-  void push_back(const T& value) {
-    if (size_ == buf_.size()) {
-      rebuild(buf_.empty() ? std::size_t{8} : buf_.size() * 2);
-    }
-    buf_[(head_ + size_) & (buf_.size() - 1)] = value;
-    ++size_;
-  }
-  /// Pops and returns the newest element (LIFO end).
-  T pop_back() {
-    --size_;
-    return buf_[(head_ + size_) & (buf_.size() - 1)];
-  }
-  /// Pops and returns the oldest element (FIFO end).
-  T pop_front() {
-    const T value = buf_[head_ & (buf_.size() - 1)];
-    ++head_;
-    --size_;
-    return value;
-  }
-
- private:
-  void rebuild(std::size_t cap) {
-    std::vector<T> next(cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-    }
-    buf_ = std::move(next);
-    head_ = 0;
-  }
-
-  std::vector<T> buf_;
-  std::size_t head_ = 0;  ///< monotonically increasing; masked on access
-  std::size_t size_ = 0;
-};
-
 /// Floors a fractional instance count with a relative epsilon: a resource
 /// ratio that lands an ulp below an exact integer (40 / (40/3.0) =
 /// 9.999999999999998) must count as that integer, not one less. The
@@ -111,10 +38,11 @@ inline std::size_t floor_capacity(double capacity) {
   return static_cast<std::size_t>(capacity * (1.0 + 1e-9));
 }
 
-/// Instances ONE node can host — the sharded loop's per-node capacity.
-/// At config.nodes == 1 this is float-identical to the pooled
-/// cluster-wide capacity: both numerators multiply by exactly 1, so the
-/// divisions and the epsilon floor agree bit-for-bit (the parity anchor).
+/// Instances ONE node can host — the engine's per-node capacity. A node
+/// scaled to k nodes' resources (node_cpus * k, node_memory_mb * k) is
+/// float-identical to the reference loop's pooled capacity at nodes == k:
+/// both numerators are the same products, so the divisions and the
+/// epsilon floor agree bit-for-bit (the parity anchor).
 inline std::size_t node_capacity(const ResourceUsage& usage,
                                  const RuntimeParams& params) {
   const double node_cpus = static_cast<double>(params.node_cpus);
@@ -127,8 +55,8 @@ inline std::size_t node_capacity(const ResourceUsage& usage,
   return std::max<std::size_t>(1, floor_capacity(capacity));
 }
 
-/// The windowed (conservative-PDES) multi-node engine behind
-/// ClusterSimulator::run_prepared at nodes >= 2. Defined in
+/// The windowed (conservative-PDES) engine behind
+/// ClusterSimulator::run_prepared at every node count. Defined in
 /// cluster_parallel.cc; sim_threads == 1 runs the identical schedule
 /// inline, so results are bit-identical across thread counts.
 ClusterResult run_prepared_windowed(const ClusterConfig& config,

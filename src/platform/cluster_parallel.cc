@@ -1,5 +1,5 @@
 // Windowed conservative-PDES engine behind ClusterSimulator::run_prepared
-// at nodes >= 2.
+// at every node count.
 //
 // Every node owns a full serving shard — typed event heap, monotone warm
 // ring, tombstoned waiting queue, constant-delay timeout ring — and
@@ -30,6 +30,15 @@
 // route against per-node in-flight/warm snapshots republished at every
 // barrier, so their windows are additionally capped at a fixed fidelity
 // width.
+//
+// One node is the degenerate case: nothing is routed and nothing crosses
+// shards. The shard reads arrivals straight off the sorted arrival
+// cursor, keeps its retries on its own heap as kRetry events, and folds
+// each accounting delta directly into the totals (the (time, node) merge
+// of a single log is the log itself), so the run is one window unless a
+// node crash cuts it. It draws service times from the service root
+// stream itself — the closure reference loop's schedule, which
+// ClusterParityTest asserts bit-for-bit.
 
 #include <algorithm>
 #include <cmath>
@@ -37,6 +46,7 @@
 #include <future>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -54,6 +64,75 @@
 namespace chiron {
 namespace cluster_detail {
 namespace {
+
+/// A shard heap's typed POD event: the whole per-request state machine
+/// dispatches on {kind, request id} — no per-event closures. kRetry
+/// enters a heap only in a one-node run; with more nodes, retries
+/// re-route through the coordinator.
+struct ClusterEvent {
+  enum class Kind : std::uint8_t {
+    kTimeout,
+    kCompletion,
+    kCrash,
+    kRetry,
+  };
+  Kind kind = Kind::kCompletion;
+  std::uint32_t id = 0;
+};
+
+using ClusterEventQueue = TypedEventQueue<ClusterEvent>;
+
+/// Power-of-two ring buffer with push_back / pop_front / pop_back. The
+/// serving loop's waiting queue and warm pool need deque semantics with
+/// zero steady-state allocations, which std::deque's block allocator
+/// cannot promise; reserve() up front makes every later operation
+/// allocation-free as long as the live size stays within the reservation
+/// (growth past it is correct, just no longer allocation-free).
+template <typename T>
+class Ring {
+ public:
+  void reserve(std::size_t n) {
+    std::size_t cap = 8;
+    while (cap < n + 1) cap <<= 1;
+    if (cap > buf_.size()) rebuild(cap);
+  }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  const T& front() const { return buf_[head_ & (buf_.size() - 1)]; }
+  void push_back(const T& value) {
+    if (size_ == buf_.size()) {
+      rebuild(buf_.empty() ? std::size_t{8} : buf_.size() * 2);
+    }
+    buf_[(head_ + size_) & (buf_.size() - 1)] = value;
+    ++size_;
+  }
+  /// Pops and returns the newest element (LIFO end).
+  T pop_back() {
+    --size_;
+    return buf_[(head_ + size_) & (buf_.size() - 1)];
+  }
+  /// Pops and returns the oldest element (FIFO end).
+  T pop_front() {
+    const T value = buf_[head_ & (buf_.size() - 1)];
+    ++head_;
+    --size_;
+    return value;
+  }
+
+ private:
+  void rebuild(std::size_t cap) {
+    std::vector<T> next(cap);
+    for (std::size_t i = 0; i < size_; ++i) {
+      next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+    buf_ = std::move(next);
+    head_ = 0;
+  }
+
+  std::vector<T> buf_;
+  std::size_t head_ = 0;  ///< monotonically increasing; masked on access
+  std::size_t size_ = 0;
+};
 
 constexpr TimeMs kInf = std::numeric_limits<TimeMs>::infinity();
 /// Sentinel node index: the request's timeout is in flight between nodes
@@ -89,7 +168,7 @@ struct InboxEntry {
   std::uint32_t id;
   /// kNew: first dispatch (record admission, arm the ring timeout).
   /// kRedispatch: transferred retry or crash requeue (re-arm the heap
-  /// timeout carried in ReqState::deadline).
+  /// timeout at the request's deadline).
   enum class Kind : std::uint8_t { kNew, kRedispatch } kind;
 };
 
@@ -133,12 +212,16 @@ struct Tally {
   }
 };
 
+/// Per-request state, one per request for the whole run — so it is kept
+/// at 40 bytes (pinned below): no stored deadline, one-byte fields packed
+/// together.
 struct ReqState {
-  TimeMs arrival = 0.0;
-  TimeMs deadline = 0.0;  ///< absolute timeout deadline; 0 = none
+  TimeMs arrival = 0.0;  ///< the timeout deadline is arrival + timeout_ms
   std::uint32_t attempt = 1;
   std::uint32_t node = 0;          ///< where the current attempt lives
   std::uint32_t timeout_node = 0;  ///< shard owning the armed timeout
+  ClusterEventQueue::Handle pending_ev{};
+  ClusterEventQueue::Handle timeout_ev{};
   enum class Phase : std::uint8_t {
     kWaiting,
     kQueued,
@@ -146,8 +229,6 @@ struct ReqState {
     kBackoff,
     kDone,
   } phase = Phase::kWaiting;
-  ClusterEventQueue::Handle pending_ev{};
-  ClusterEventQueue::Handle timeout_ev{};
   bool has_timeout_ev = false;
   bool timeout_via_ring = false;
   /// True while the arrival shard's timeout ring holds a live entry for
@@ -158,6 +239,7 @@ struct ReqState {
   /// owner's timeout bookkeeping (has_timeout_ev & co above).
   bool ring_live = false;
 };
+static_assert(sizeof(ReqState) == 40, "ReqState grew: one per request");
 
 /// One node's complete serving shard. Workers own disjoint shard sets
 /// during a window; the coordinator owns everything at barriers (the
@@ -204,16 +286,17 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
                                     const std::vector<TimeMs>& arrival_times,
                                     std::uint64_t id_base) {
   const std::uint32_t node_count =
-      static_cast<std::uint32_t>(std::max<std::size_t>(2, config.nodes));
+      static_cast<std::uint32_t>(std::max<std::size_t>(1, config.nodes));
+  const bool solo = node_count == 1;
   const std::size_t per_node_capacity =
       node_capacity(backend.resources(), params);
   const std::size_t n = arrival_times.size();
 
-  // Seeded stream plan, same prefix as the single-node loop: first split
-  // fed the arrival generator, the second roots the service streams, the
-  // third seeds the router. Per-node service streams are further splits
-  // of the service root, taken in node order at setup — fixed for every
-  // thread count.
+  // Seeded stream plan, as run() threads it: the first split fed the
+  // arrival generator, the second roots the service streams, the third
+  // seeds the router. Per-node service streams are further splits of the
+  // service root, taken in node order at setup — fixed for every thread
+  // count. A lone node draws from the root itself, as the reference does.
   Rng rng(config.seed);
   (void)rng.split();
   Rng service_root = rng.split();
@@ -223,35 +306,36 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   const RetryPolicy& retry = config.retry;
   const bool has_timeout = retry.timeout_ms > 0.0;
   const TimeMs cold_penalty = cold_start_penalty(params, cascading_stages);
+  auto deadline_of = [&](const ReqState& r) {
+    return r.arrival + retry.timeout_ms;
+  };
 
   // Mode derivation — a pure function of the config, never of the thread
   // count (the parity anchor). Retries can cross nodes only when an
   // attempt can actually fail with attempts to spare; node crashes
   // always transfer (queue drains re-route) but their times are known
-  // statically, so they cut windows rather than bound the width.
+  // statically, so they cut windows rather than bound the width. A lone
+  // node transfers nothing and never consults the router.
   const bool attempts_can_fail = config.faults.cold_start_failure > 0.0 ||
                                  config.faults.crash > 0.0 ||
                                  config.faults.node_crash > 0.0;
-  const bool retry_transfers = retry.max_attempts > 1 && attempts_can_fail;
+  const bool retries = retry.max_attempts > 1 && attempts_can_fail;
+  const bool retry_transfers = !solo && retries;
   const bool stateful_router =
-      config.router == RouterPolicy::kLeastOutstanding ||
-      config.router == RouterPolicy::kPowerOfTwo ||
-      config.router == RouterPolicy::kWarmAffinity;
+      !solo && (config.router == RouterPolicy::kLeastOutstanding ||
+                config.router == RouterPolicy::kPowerOfTwo ||
+                config.router == RouterPolicy::kWarmAffinity);
   TimeMs width = kInf;
-  if (config.sim_window_ms > 0.0) {
-    width = config.sim_window_ms;
-  } else {
-    if (retry_transfers) {
-      // Backoff floor: the smallest backoff any retry can draw is
-      // min(base, max) * (1 - jitter) (attempt 1, worst-case jitter).
-      const double swing = std::min(retry.jitter, 1.0);
-      const TimeMs floor_ms =
-          std::min(retry.base_backoff_ms, retry.max_backoff_ms) *
-          (1.0 - swing);
-      width = std::min(width, std::max(kMinWindowMs, floor_ms));
-    }
-    if (stateful_router) width = std::min(width, kStatefulWindowMs);
+  if (retry_transfers) {
+    // Backoff floor: the smallest backoff any retry can draw is
+    // min(base, max) * (1 - jitter) (attempt 1, worst-case jitter).
+    const double swing = std::min(retry.jitter, 1.0);
+    const TimeMs floor_ms =
+        std::min(retry.base_backoff_ms, retry.max_backoff_ms) *
+        (1.0 - swing);
+    width = std::min(width, std::max(kMinWindowMs, floor_ms));
   }
+  if (stateful_router) width = std::min(width, kStatefulWindowMs);
   const bool single_window = !std::isfinite(width) &&
                              !(config.faults.node_crash > 0.0);
 
@@ -289,8 +373,8 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
 
   // Arrival order: a cursor over the (time, index)-sorted stream. The
   // generator emits sorted times; an unsorted hand-built vector gets one
-  // stable index sort at setup (the heap order the single-node loop
-  // would have used).
+  // stable index sort at setup (the heap order of the reference loop,
+  // which schedules every arrival up front).
   const bool sorted_arrivals =
       std::is_sorted(arrival_times.begin(), arrival_times.end());
   std::vector<std::uint32_t> arrival_order;
@@ -337,23 +421,23 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   // ring or vector — correct, just no longer allocation-free.
   const std::size_t share = n / node_count + 1;
   const bool transfers_possible =
-      retry_transfers || config.faults.node_crash > 0.0;
+      !solo && (retries || config.faults.node_crash > 0.0);
   std::vector<Shard> shards(node_count);
   for (std::uint32_t k = 0; k < node_count; ++k) {
     Shard& s = shards[k];
     s.k = k;
-    s.rng = service_root.split();
+    s.rng = solo ? service_root : service_root.split();
     s.warm.reserve(std::min(per_node_capacity, n) + 1);
     s.queue.reserve(std::min(n, 4 * share + 64) + 1);
     if (has_timeout) s.timeout_ring.reserve(std::min(n, 4 * share + 64) + 1);
     // Live heap events: completions/crashes (<= busy <= capacity) plus
-    // transferred-in heap timeouts (<= requests resident on the node).
+    // heap timeouts and retries (<= requests resident on the node).
     const std::size_t ev_slots =
-        transfers_possible || has_timeout
+        retries || config.faults.node_crash > 0.0 || has_timeout
             ? std::min(2 * n + 8, 6 * share + 2 * per_node_capacity + 64)
             : per_node_capacity + 16;
     s.events.reserve(ev_slots, 2 * ev_slots + 16);
-    if (!single_window) {
+    if (!solo && !single_window) {
       s.inbox.reserve(std::min(n, 4 * share + 64));
       s.log.reserve(std::min(5 * n, 10 * share + 64));
     }
@@ -366,8 +450,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   std::vector<double> latencies;
   latencies.reserve(n);
   RouterSnapshot snapshot(node_count);
-  std::vector<std::uint32_t> batch_picks;
-  batch_picks.reserve(n);
   std::vector<std::size_t> merge_cursor(node_count, 0);
   Tally coord;  ///< crash-path and late-timeout counters
   obs::Histogram* latency_hist =
@@ -381,13 +463,52 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   std::size_t window_count = 0;
   std::size_t transfer_count = 0;
   std::size_t barrier_routed = 0;
+  std::size_t next_arrival = 0;  ///< arrival cursor (sorted order)
+
+  // Folds one accounting delta into the global trajectory: peaks are
+  // sampled at their only increase points (kLiveUp / kQueueUp), and
+  // latencies fold in canonical order.
+  auto fold = [&](TimeMs at, LogEntry::Kind kind, double value) {
+    switch (kind) {
+      case LogEntry::Kind::kLiveUp:
+        ++live_now;
+        result.peak_instances = std::max(result.peak_instances, live_now);
+        return;
+      case LogEntry::Kind::kLiveDown:
+        --live_now;
+        return;
+      case LogEntry::Kind::kQueueUp:
+        ++queued_now;
+        result.peak_queue = std::max(result.peak_queue, queued_now);
+        break;
+      case LogEntry::Kind::kQueueDown:
+        --queued_now;
+        break;
+      case LogEntry::Kind::kLatency:
+        latencies.push_back(value);
+        if (latency_hist) latency_hist->observe(value);
+        return;
+    }
+    if (tracer) {
+      tracer->counter_at("cluster.queue_depth",
+                         static_cast<double>(queued_now), obs::kVirtualPid, 0,
+                         at);
+    }
+  };
 
   // ---- shared handlers (called by workers inside windows for their own
   // shards, and by the coordinator at barriers for any shard) ----
 
+  // Multi-node shards log their deltas for the (time, node) merge at the
+  // next barrier; a lone shard's log already is that order, so its
+  // deltas fold as they happen.
   auto log_entry = [&](Shard& s, TimeMs at, LogEntry::Kind kind,
                        double value = 0.0) {
-    s.log.push_back(LogEntry{at, value, kind});
+    if (solo) {
+      fold(at, kind, value);
+    } else {
+      s.log.push_back(LogEntry{at, value, kind});
+    }
   };
 
   auto account = [](Shard& s, TimeMs now) {
@@ -465,8 +586,9 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   // becomes a cross-node transfer via `sink` (the worker's outbox or the
   // coordinator's pending list) — unless its deadline lands at or before
   // the re-dispatch time, in which case the still-armed timeout fires
-  // first and the retry is never delivered (the sequential loop's
-  // timeout-cancels-retry order).
+  // first and the retry is never delivered (the reference loop's
+  // timeout-cancels-retry order). A lone node keeps the retry on its own
+  // heap, where a timeout that fires first cancels it.
   auto fail_attempt = [&](Shard& s, std::uint32_t id, TimeMs t,
                           TimeMs extra_delay, Tally& tally, auto&& sink) {
     ReqState& r = reqs[id];
@@ -488,7 +610,10 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       ++r.attempt;
       r.phase = ReqState::Phase::kBackoff;
       const TimeMs t_retry = t + extra_delay + backoff;
-      if (r.has_timeout_ev && r.deadline <= t_retry) {
+      if (solo) {
+        r.pending_ev = s.events.schedule(
+            t_retry, ClusterEvent{ClusterEvent::Kind::kRetry, id});
+      } else if (r.has_timeout_ev && deadline_of(r) <= t_retry) {
         // The timeout wins: leave it armed where it is; no transfer.
       } else {
         if (r.has_timeout_ev) {
@@ -514,7 +639,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   };
 
   auto begin_service = [&](Shard& s, std::uint32_t id, TimeMs now,
-                           TimeMs startup, Tally& tally, auto&& sink) {
+                           TimeMs startup) {
     ReqState& r = reqs[id];
     r.phase = ReqState::Phase::kRunning;
     ++s.busy;
@@ -538,8 +663,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     const TimeMs finish = now + startup + service;
     r.pending_ev = s.events.schedule(
         finish, ClusterEvent{ClusterEvent::Kind::kCompletion, id});
-    (void)tally;
-    (void)sink;
   };
 
   // Places `id` on shard `s` at `now` — routing already decided at the
@@ -554,7 +677,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     ++s.routed;
     if (!s.warm.empty()) {
       s.warm.pop_back();  // LIFO keeps hot instances hot
-      begin_service(s, id, now, 0.0, tally, sink);
+      begin_service(s, id, now, 0.0);
     } else if (s.live < per_node_capacity) {
       if (injector.cold_start_fails(id, r.attempt)) {
         // The sandbox dies during boot: the boot time is still paid (it
@@ -577,7 +700,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
         recorder->record(obs::RecKind::kColdStart, rid(id), r.attempt, now,
                          cold_penalty, static_cast<std::int32_t>(s.k));
       }
-      begin_service(s, id, now, cold_penalty, tally, sink);
+      begin_service(s, id, now, cold_penalty);
     } else {
       r.phase = ReqState::Phase::kQueued;
       s.queue.push_back(id);
@@ -595,22 +718,21 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
 
   // Frees the instance that just finished/aborted on `s`: hand it to the
   // next queued request directly, or park it in the warm pool.
-  auto release_instance = [&](Shard& s, TimeMs at, Tally& tally,
-                              auto&& sink) {
+  auto release_instance = [&](Shard& s, TimeMs at) {
     if (const auto qid = take_queued(s)) {
       log_entry(s, at, LogEntry::Kind::kQueueDown);
       // Handed to the queued request directly (it stays on its node): it
       // never visits the warm pool, so reap cannot reclaim it out from
       // under the handoff.
       reap_node(s, at);
-      begin_service(s, *qid, at, 0.0, tally, sink);
+      begin_service(s, *qid, at, 0.0);
     } else {
       s.warm.push_back(at);
     }
   };
 
   auto handle_timeout = [&](Shard& s, std::uint32_t id, TimeMs at,
-                            Tally& tally, auto&& sink) {
+                            Tally& tally) {
     ReqState& r = reqs[id];
     if (r.timeout_via_ring) r.ring_live = false;  // fired from s's own ring
     r.has_timeout_ev = false;
@@ -638,13 +760,14 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
         s.events.cancel(r.pending_ev);
         account(s, at);
         --s.busy;
-        release_instance(s, at, tally, sink);
+        release_instance(s, at);
         break;
       }
       case ReqState::Phase::kBackoff:
-        // The retry is an undelivered transfer (or was never sunk); the
-        // coordinator checks deadlines before delivery, so nothing is
-        // armed here to cancel.
+        // A lone node cancels the retry on its heap. Otherwise the retry
+        // is an undelivered transfer (or was never sunk); the coordinator
+        // checks deadlines before delivery, so nothing is armed here.
+        if (solo) s.events.cancel(r.pending_ev);
         break;
       default:
         break;
@@ -654,7 +777,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   };
 
   auto handle_completion = [&](Shard& s, std::uint32_t id, TimeMs at,
-                               Tally& tally, auto&& sink) {
+                               Tally& tally) {
     account(s, at);
     ReqState& r = reqs[id];
     --s.busy;
@@ -667,7 +790,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     }
     finalize(s, id);
     end_request_span(id, at);
-    release_instance(s, at, tally, sink);
+    release_instance(s, at);
   };
 
   auto handle_crash = [&](Shard& s, std::uint32_t id, TimeMs at,
@@ -700,13 +823,12 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
         recorder->record(obs::RecKind::kAdmit, rid(e.id), 1, e.at);
       }
       if (has_timeout) {
-        r.deadline = e.at + retry.timeout_ms;
         r.has_timeout_ev = true;
         r.timeout_via_ring = true;
         r.ring_live = true;
         r.timeout_node = s.k;
         s.timeout_ring.push_back(
-            TimeoutEntry{r.deadline, s.events.mint_seq(), e.id});
+            TimeoutEntry{deadline_of(r), s.events.mint_seq(), e.id});
       }
     } else if (r.has_timeout_ev && r.timeout_node == kTimeoutInFlight) {
       // The timeout travelled with the transfer: re-arm it here FIRST so
@@ -715,7 +837,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       r.timeout_via_ring = false;
       r.timeout_node = s.k;
       r.timeout_ev = s.events.schedule(
-          r.deadline, ClusterEvent{ClusterEvent::Kind::kTimeout, e.id});
+          deadline_of(r), ClusterEvent{ClusterEvent::Kind::kTimeout, e.id});
     }
     dispatch_to(s, e.id, e.at, tally, sink);
   };
@@ -734,18 +856,24 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     }
   };
 
-  // Runs shard `s` through its window [.., window_end): inbox entries
-  // (all < window_end by construction), ring timeouts, and heap events
-  // merged with inbox-wins-ties and ring-vs-heap (time, seq) order —
-  // the single-node loop's three-way merge, per shard.
+  // Runs shard `s` through its window [.., window_end): dispatches (the
+  // routed inbox, all < window_end by construction — or, on a lone node,
+  // the arrival cursor), ring timeouts, and heap events merged with
+  // dispatch-wins-ties and ring-vs-heap (time, seq) order — the
+  // reference loop's event order, per shard.
   auto process_window = [&](Shard& s, TimeMs window_end) {
     auto sink = [&s](const Transfer& t) { s.outbox.push(t); };
     Tally& tally = s.tally;
     for (;;) {
       prune_timeout_ring(s);
-      const bool have_inbox = s.inbox_cursor < s.inbox.size();
-      const TimeMs inbox_at =
-          have_inbox ? s.inbox[s.inbox_cursor].at : kInf;
+      TimeMs inbox_at = kInf;
+      if (solo) {
+        if (next_arrival < n && arrival_at(next_arrival) < window_end) {
+          inbox_at = arrival_at(next_arrival);
+        }
+      } else if (s.inbox_cursor < s.inbox.size()) {
+        inbox_at = s.inbox[s.inbox_cursor].at;
+      }
       TimeMs ring_at = kInf;
       std::uint64_t ring_seq = 0;
       if (!s.timeout_ring.empty() && s.timeout_ring.front().at < window_end) {
@@ -762,8 +890,11 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
           heap_seq = seq;
         }
       }
-      if (have_inbox && inbox_at <= ring_at && inbox_at <= heap_at) {
-        const InboxEntry e = s.inbox[s.inbox_cursor++];
+      if (inbox_at < kInf && inbox_at <= ring_at && inbox_at <= heap_at) {
+        const InboxEntry e =
+            solo ? InboxEntry{inbox_at, arrival_id(next_arrival++),
+                              InboxEntry::Kind::kNew}
+                 : s.inbox[s.inbox_cursor++];
         handle_inbox(s, e, tally, sink);
         continue;
       }
@@ -772,25 +903,26 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
         const TimeoutEntry front = s.timeout_ring.front();
         s.timeout_ring.pop_front();
         s.events.advance_to(front.at);
-        handle_timeout(s, front.id, front.at, tally, sink);
+        handle_timeout(s, front.id, front.at, tally);
         continue;
       }
       if (!std::isfinite(heap_at)) break;
-      TimeMs at;
+      TimeMs at = 0.0;
       ClusterEvent ev;
       s.events.pop(&at, &ev);
       switch (ev.kind) {
         case ClusterEvent::Kind::kCompletion:
-          handle_completion(s, ev.id, at, tally, sink);
+          handle_completion(s, ev.id, at, tally);
           break;
         case ClusterEvent::Kind::kCrash:
           handle_crash(s, ev.id, at, tally, sink);
           break;
         case ClusterEvent::Kind::kTimeout:
-          handle_timeout(s, ev.id, at, tally, sink);
+          handle_timeout(s, ev.id, at, tally);
           break;
-        default:
-          break;  // kArrival/kRetry/kNodeCrash never enter shard heaps
+        case ClusterEvent::Kind::kRetry:  // lone node: re-dispatch here
+          dispatch_to(s, ev.id, at, tally, sink);
+          break;
       }
     }
     s.inbox.clear();
@@ -811,8 +943,9 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   // Routes one dispatch at barrier time against the published snapshot.
   auto route_one = [&](std::uint32_t id, TimeMs at, InboxEntry::Kind kind) {
     ReqState& r = reqs[id];
+    const TimeMs deadline = deadline_of(r);
     if (kind == InboxEntry::Kind::kRedispatch && r.has_timeout_ev &&
-        r.deadline <= at) {
+        deadline <= at) {
       // The transfer was clamped past its deadline (possible only with a
       // jitter-degenerate backoff floor): the request times out at its
       // deadline instead of re-dispatching.
@@ -820,17 +953,16 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       ++coord.timed_out;
       if (tracer) {
         tracer->instant_at("request.timeout", "fault", obs::kVirtualPid,
-                           request_track, r.deadline,
+                           request_track, deadline,
                            {{"request", static_cast<double>(rid(id))}});
       }
       if (recorder) {
         recorder->record(obs::RecKind::kTimeout, rid(id), r.attempt,
-                         r.deadline, 0.0,
-                         static_cast<std::int32_t>(r.node));
+                         deadline, 0.0, static_cast<std::int32_t>(r.node));
       }
       r.phase = ReqState::Phase::kDone;
-      end_request_span(id, r.deadline);
-      coord_last = std::max(coord_last, r.deadline);
+      end_request_span(id, deadline);
+      coord_last = std::max(coord_last, deadline);
       return;
     }
     const std::uint32_t k = router.pick(snapshot.data(), node_count);
@@ -853,8 +985,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
           static_cast<std::uint32_t>(s.warm.size()));
     }
   };
-
-  std::size_t next_arrival = 0;
 
   // Routes every dispatch whose time falls in [B, window_end): pending
   // transfers merged with the arrival stream in (time, arrivals-first,
@@ -886,9 +1016,11 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
 
   // Single-window fast path sizing: with the whole run routed in one
   // batch, per-node inbox and log reservations can be exact, so the
-  // parallel phase allocates nothing.
-  if (single_window) {
-    batch_picks.clear();
+  // parallel phase allocates nothing. (A lone node routes nothing: it
+  // reads the arrival cursor and folds its deltas directly.)
+  if (single_window && !solo) {
+    std::vector<std::uint32_t> batch_picks;
+    batch_picks.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       publish_views(arrival_at(i));
       batch_picks.push_back(router.pick(snapshot.data(), node_count));
@@ -911,10 +1043,9 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   }
 
   // Merges every shard's window log into the global trajectory in
-  // (time, node) order: peaks are sampled at their only increase points
-  // (kLiveUp / kQueueUp), latencies fold in canonical order. K-way merge
-  // through a cursor min-heap — O(E log K), not O(E * K), so the serial
-  // barrier work stays a small fraction of the windows it merges.
+  // (time, node) order. K-way merge through a cursor min-heap —
+  // O(E log K), not O(E * K), so the serial barrier work stays a small
+  // fraction of the windows it merges.
   std::vector<std::uint32_t> merge_heap(node_count);
   auto merge_less = [&](std::uint32_t a, std::uint32_t b) {
     const TimeMs at_a = shards[a].log[merge_cursor[a]].at;
@@ -938,34 +1069,14 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
         merge_heap.push_back(best);
         std::push_heap(merge_heap.begin(), merge_heap.end(), merge_less);
       }
-      switch (e.kind) {
-        case LogEntry::Kind::kLiveUp:
-          ++live_now;
-          result.peak_instances = std::max(result.peak_instances, live_now);
-          break;
-        case LogEntry::Kind::kLiveDown:
-          --live_now;
-          break;
-        case LogEntry::Kind::kQueueUp:
-          ++queued_now;
-          result.peak_queue = std::max(result.peak_queue, queued_now);
-          break;
-        case LogEntry::Kind::kQueueDown:
-          --queued_now;
-          break;
-        case LogEntry::Kind::kLatency:
-          latencies.push_back(e.value);
-          if (latency_hist) latency_hist->observe(e.value);
-          break;
-      }
+      fold(e.at, e.kind, e.value);
     }
     for (Shard& s : shards) s.log.clear();
   };
 
   // Coordinator-side node crash at its statically-known time: fail the
   // in-flight attempts (ascending id), drain the warm pool, re-route the
-  // queue — all before the next window opens, matching the sequential
-  // crash-first tie order.
+  // queue — all before the next window opens (crash-first tie order).
   auto process_crash = [&](const CrashPoint& c) {
     Shard& s = shards[c.k];
     account(s, c.at);
@@ -991,7 +1102,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       s.events.cancel(r.pending_ev);
       --s.busy;
       --s.live;
-      --live_now;
+      fold(c.at, LogEntry::Kind::kLiveDown, 0.0);
       count_fault(s, FaultKind::kNodeCrash, victim, r.attempt, c.at,
                   static_cast<double>(c.k));
       fail_attempt(s, victim, c.at, 0.0, coord, coord_sink);
@@ -1000,15 +1111,23 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     while (!s.warm.empty()) {
       s.warm.pop_front();
       --s.live;
-      --live_now;
+      fold(c.at, LogEntry::Kind::kLiveDown, 0.0);
     }
     // Queued requests go back through the router at the crash time; the
     // node itself restarts immediately (cold), so the router may well
-    // pick it again. Their timeouts travel with them.
+    // pick it again. Their timeouts travel with them. A lone node takes
+    // its queue back in order, as retries at the crash time on its own
+    // heap, with the timeouts left armed.
     publish_views(c.at);
     while (const auto qid = take_queued(s)) {
-      --queued_now;
+      fold(c.at, LogEntry::Kind::kQueueDown, 0.0);
       ReqState& r = reqs[*qid];
+      if (solo) {
+        r.phase = ReqState::Phase::kBackoff;
+        r.pending_ev = s.events.schedule(
+            c.at, ClusterEvent{ClusterEvent::Kind::kRetry, *qid});
+        continue;
+      }
       if (r.has_timeout_ev) {
         if (r.timeout_via_ring) {
           r.ring_live = false;
@@ -1025,8 +1144,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   // ---- the window loop ----
 
   const std::size_t worker_count = std::min<std::size_t>(
-      node_count, ThreadPool::resolve_workers(
-                      config.sim_threads == 0 ? 0 : config.sim_threads));
+      node_count, ThreadPool::resolve_workers(config.sim_threads));
   const bool parallel = worker_count > 1;
 
   std::optional<ThreadPool> pool;
@@ -1067,13 +1185,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       }
     }
     merge_logs();
-    if (tracer) {
-      tracer->counter_at("cluster.queue_depth",
-                         static_cast<double>(queued_now), obs::kVirtualPid,
-                         0, std::isfinite(window_end)
-                                ? window_end
-                                : std::max(coord_last, config.horizon_ms));
-    }
   };
 
   std::size_t next_crash = 0;
@@ -1101,7 +1212,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     if (next_crash < crashes.size() && crashes[next_crash].at < window_end) {
       window_end = crashes[next_crash].at;
     }
-    if (!single_window) route_batch(B, window_end);
+    if (!solo && !single_window) route_batch(B, window_end);
     run_window(window_end);
     B = window_end;
     if (!std::isfinite(B)) B = 0.0;  // loop exits via t_min next round
@@ -1135,16 +1246,18 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   result.timed_out = total.timed_out;
   result.dropped = total.dropped;
 
+  // Streaming accumulator in the merged (time, node) completion order
+  // (deterministic: virtual time), merged across seeds by run_batch.
+  for (double latency : latencies) result.latency_stats.add(latency);
   if (!latencies.empty()) {
     result.mean_ms = mean_of(latencies);
-    const Cdf cdf(latencies);  // one sort for all three quantiles
+    // One sort for all three quantiles, in the buffer itself: no second
+    // whole-run copy.
+    const Cdf cdf(std::move(latencies));
     result.p50_ms = cdf.quantile(0.50);
     result.p95_ms = cdf.quantile(0.95);
     result.p99_ms = cdf.quantile(0.99);
   }
-  // Streaming accumulator in the merged (time, node) completion order
-  // (deterministic: virtual time), merged across seeds by run_batch.
-  for (double latency : latencies) result.latency_stats.add(latency);
   const TimeMs span = std::max(last_event, config.horizon_ms);
   result.achieved_rps =
       span > 0.0 ? static_cast<double>(result.completed) / (span / 1000.0)

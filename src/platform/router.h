@@ -11,8 +11,9 @@
 //
 // pick() is allocation-free and draws only from the router's private Rng
 // stream, so enabling a randomized policy never perturbs the simulation's
-// service-time draws — a sharded nodes=1 run stays bit-identical to the
-// pooled loop no matter which policy is configured.
+// service-time draws; a lone node never consults the router at all, so a
+// nodes=1 run stays bit-identical to the reference loop no matter which
+// policy is configured.
 #pragma once
 
 #include <cstddef>

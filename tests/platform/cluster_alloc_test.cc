@@ -167,7 +167,7 @@ TEST(ClusterAllocationTest, ShardedLoopAllocationsDoNotScaleWithRequests) {
   const auto [big_allocs, big_offered] = count_sharded_run(1600.0);
   ASSERT_GT(big_offered, small_offered + 8000u);
 
-  // Setup reserves a few more buffers than the pooled loop (per-node
+  // Setup reserves a few more buffers than a one-node run (per-node
   // rings, router views, per-node sinks) — still a small constant.
   EXPECT_LT(small_allocs, 96u);
   EXPECT_LE(big_allocs, small_allocs + 8u)

@@ -1,12 +1,13 @@
-// Parity oracle chain for the serving loops: the pooled typed-event loop
-// (ClusterSimulator::run_prepared_pooled) must produce bit-identical
+// Parity oracle for the serving engine: the windowed engine at nodes == 1
+// (ClusterSimulator::run_prepared) must produce bit-identical
 // ClusterResults to the retired closure-based loop
 // (run_prepared_reference) — same (time, seq) FIFO event order means the
 // same RNG draw sequence and the same float arithmetic, so equality is
 // exact, not approximate (the run_slow_reference pattern the interleave
-// kernels established). The sharded hot path (run_prepared) is in turn
-// bit-identical to the pooled loop at nodes == 1, whatever the router
-// policy, which anchors the per-node refactor to the original oracle.
+// kernels established), whatever the router policy. The reference pools
+// k nodes into one capacity, so the engine runs one node scaled to k
+// nodes' resources against it. ShardedParallelParityTest carries the
+// chain on to any node and thread count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,6 +16,7 @@
 
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "platform/cluster.h"
 #include "platform/systems.h"
 #include "workflow/benchmarks.h"
@@ -56,6 +58,30 @@ std::vector<TimeMs> arrivals_for(const ClusterConfig& config) {
   Rng rng(config.seed);
   ArrivalGenerator arrivals(config.arrivals, config.offered_rps, rng.split());
   return arrivals.generate(config.horizon_ms);
+}
+
+/// run() through the reference loop: the same arrivals recipe and a
+/// freshly minted request-id block.
+ClusterResult run_reference(const ClusterConfig& config,
+                            const RuntimeParams& params,
+                            const Backend& backend, std::size_t stages) {
+  const std::vector<TimeMs> arrivals = arrivals_for(config);
+  return ClusterSimulator(config, params)
+      .run_prepared_reference(backend, stages, arrivals,
+                              obs::mint_request_ids(arrivals.size()));
+}
+
+/// One engine node holding the resources the reference pools across
+/// config.nodes: the same products the reference's cluster capacity
+/// computes, so the two capacities are float-identical.
+ClusterConfig one_node(ClusterConfig config) {
+  config.nodes = 1;
+  return config;
+}
+RuntimeParams pooled_params(RuntimeParams params, std::size_t nodes) {
+  params.node_cpus *= nodes;
+  params.node_memory_mb *= static_cast<double>(nodes);
+  return params;
 }
 
 /// Draws one randomized cluster/fault/retry/timeout configuration. The
@@ -118,11 +144,12 @@ TEST(ClusterParityTest, FastLoopIsBitIdenticalAcrossRandomizedConfigs) {
     const std::vector<TimeMs> arrivals = arrivals_for(config);
     const std::uint64_t id_base = 1000 + static_cast<std::uint64_t>(i);
 
-    const ClusterSimulator sim(config, params);
     const ClusterResult fast =
-        sim.run_prepared_pooled(backend, stages, arrivals, id_base);
+        ClusterSimulator(one_node(config), pooled_params(params, config.nodes))
+            .run_prepared(backend, stages, arrivals, id_base);
     const ClusterResult reference =
-        sim.run_prepared_reference(backend, stages, arrivals, id_base);
+        ClusterSimulator(config, params)
+            .run_prepared_reference(backend, stages, arrivals, id_base);
     EXPECT_EQ(fast, reference);  // exact: every field, bitwise
     // Terminal counts never exceed admissions. (Not exact conservation:
     // with no timeout configured, requests still queued when the last
@@ -134,11 +161,10 @@ TEST(ClusterParityTest, FastLoopIsBitIdenticalAcrossRandomizedConfigs) {
   EXPECT_GT(nonempty, 50);  // the sweep actually exercised the loop
 }
 
-TEST(ClusterParityTest, ShardedSingleNodeIsBitIdenticalToPooled) {
-  // The sharded loop with one node must be the pooled model, exactly:
-  // same schedule() sequence, same Rng draws, same float arithmetic. The
-  // router policy must not matter — at n == 1 every policy returns node 0
-  // without touching its (separately split) Rng stream.
+TEST(ClusterParityTest, ShardedSingleNodeIsBitIdenticalToReference) {
+  // The engine with one node must be the reference model, exactly: same
+  // event order, same Rng draws, same float arithmetic. The router policy
+  // must not matter — a lone node never consults the router.
   const SystemOptions opts = quiet_options();
   const Workflow wf = make_slapp();
   const auto system_backend = make_system("Faastlane", wf, opts);
@@ -160,7 +186,7 @@ TEST(ClusterParityTest, ShardedSingleNodeIsBitIdenticalToPooled) {
   for (int i = 0; i < 40; ++i) {
     SCOPED_TRACE("randomized case " + std::to_string(i));
     ClusterConfig config = random_config(meta, 0xBEEF00 + i);
-    config.nodes = 1;  // the sharded loop must degenerate to the pool
+    config.nodes = 1;  // the engine must degenerate to the reference
     config.router = policies[i % 5];
     const Backend& backend = *backends[i % 3];
     const std::size_t stages = 1 + (i % 3);
@@ -170,9 +196,9 @@ TEST(ClusterParityTest, ShardedSingleNodeIsBitIdenticalToPooled) {
     const ClusterSimulator sim(config, params);
     const ClusterResult sharded =
         sim.run_prepared(backend, stages, arrivals, id_base);
-    const ClusterResult pooled =
-        sim.run_prepared_pooled(backend, stages, arrivals, id_base);
-    EXPECT_EQ(sharded, pooled);  // exact: every field, bitwise
+    const ClusterResult reference =
+        sim.run_prepared_reference(backend, stages, arrivals, id_base);
+    EXPECT_EQ(sharded, reference);  // exact: every field, bitwise
     ASSERT_EQ(sharded.node_results.size(), 1u);
     if (sharded.offered > 0) ++nonempty;
   }
@@ -180,9 +206,9 @@ TEST(ClusterParityTest, ShardedSingleNodeIsBitIdenticalToPooled) {
 }
 
 TEST(ClusterParityTest, MetricsAgreeBetweenLoops) {
-  // The fast loop resolves per-kind fault counters once before the loop;
-  // the reference builds the registry key per event. Same totals must
-  // land in the registry either way.
+  // The engine flushes per-kind fault counters once at teardown; the
+  // reference builds the registry key per event. Same totals must land in
+  // the registry either way.
   const SystemOptions opts = quiet_options();
   const Workflow wf = make_slapp();
   const auto backend = make_system("Faastlane", wf, opts);
@@ -206,8 +232,9 @@ TEST(ClusterParityTest, MetricsAgreeBetweenLoops) {
   ref_config.metrics = &ref_metrics;
 
   const ClusterResult fast =
-      ClusterSimulator(fast_config, opts.params)
-          .run_prepared_pooled(*backend, 1, arrivals, 7);
+      ClusterSimulator(one_node(fast_config),
+                       pooled_params(opts.params, config.nodes))
+          .run_prepared(*backend, 1, arrivals, 7);
   const ClusterResult reference =
       ClusterSimulator(ref_config, opts.params)
           .run_prepared_reference(*backend, 1, arrivals, 7);
@@ -247,8 +274,8 @@ TEST(ClusterParityTest, PublicRunMatchesPreparedFastLoop) {
   ClusterResult prepared =
       sim.run_prepared(*backend, 1, arrivals_for(config), via_run.request_id_base);
   EXPECT_EQ(via_run, prepared);
-  // And run_reference() wraps the reference loop the same way.
-  ClusterResult via_ref = sim.run_reference(*backend, 1);
+  // And the reference helper wraps the reference loop the same way.
+  ClusterResult via_ref = run_reference(config, opts.params, *backend, 1);
   ClusterResult prepared_ref = sim.run_prepared_reference(
       *backend, 1, arrivals_for(config), via_ref.request_id_base);
   EXPECT_EQ(via_ref, prepared_ref);
