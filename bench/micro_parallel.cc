@@ -1,16 +1,26 @@
 // Windowed-engine scaling micro-benchmarks (google-benchmark): the
 // multi-node serving loop at sim_threads = 1 (the engine's own
-// sequential schedule) against sim_threads = 4, on healthy fleets of 8
-// and 32 nodes under a stateless router — the single-window regime where
-// shards run embarrassingly parallel between one routing pre-pass and
-// one log merge. Arrivals are generated once outside the timed region
-// (run_prepared is the loop under test, not the arrival sampler), the
-// fleet is provisioned so requests mostly warm-reuse, and the backend
-// burns a short deterministic compute kernel per invocation so the
-// per-event cost resembles real service execution rather than a
-// constant-return stub. scripts/check.sh asserts the 4-thread speedup
-// on the 32-node scenario (when the host actually has >= 4 CPUs) and
-// that the parallel loop's complexity fit stays at or below N log N.
+// sequential schedule) against sim_threads = 4, in two regimes.
+//
+// * nodes8 / nodes32: healthy fleets under a stateless router — the
+//   single-window regime where shards run embarrassingly parallel
+//   between one routing pre-pass and one log merge. The fleet is
+//   provisioned so requests mostly warm-reuse, and the backend burns a
+//   short deterministic compute kernel per invocation so the per-event
+//   cost resembles real service execution rather than a constant-return
+//   stub.
+// * faults8: the barrier-heavy shape of bench_e2e's faults_8node — 8
+//   nodes, warm_affinity, burst arrivals, cold/crash/node faults and
+//   retries — which cuts thousands of 8 ms windows of a few dozen routed
+//   dispatches each. Those windows are too narrow to pay for a barrier,
+//   so the engine runs them inline and 4 threads must cost no more than
+//   1.
+//
+// Arrivals are generated once outside the timed region (run_prepared is
+// the loop under test, not the arrival sampler). scripts/check.sh asserts
+// the 4-thread speedup on the 32-node scenario and the 4-thread parity
+// on faults8 (both when the host actually has >= 4 CPUs) and that the
+// parallel loop's complexity fit stays at or below N log N.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -59,12 +69,10 @@ class ComputeBackend : public Backend {
 /// `nodes`-node fleet: no faults and a stateless router, so the engine
 /// derives one horizon-length window (the embarrassingly parallel
 /// regime the sim_threads knob exists for).
-ClusterConfig fleet_config(std::int64_t requests, std::size_t nodes,
-                           std::size_t sim_threads) {
+ClusterConfig fleet_config(std::int64_t requests, std::size_t nodes) {
   ClusterConfig config;
   config.nodes = nodes;
   config.router = RouterPolicy::kRoundRobin;
-  config.sim_threads = sim_threads;
   config.horizon_ms = 20000.0;
   config.offered_rps = static_cast<double>(requests) / 20.0;
   config.keep_alive_ms = 10000.0;
@@ -72,10 +80,42 @@ ClusterConfig fleet_config(std::int64_t requests, std::size_t nodes,
   return config;
 }
 
-void run_engine(benchmark::State& state, std::size_t nodes,
+ClusterConfig fleet8(std::int64_t requests) {
+  return fleet_config(requests, 8);
+}
+
+ClusterConfig fleet32(std::int64_t requests) {
+  return fleet_config(requests, 32);
+}
+
+/// ~`requests` arrivals over 20 s in the faults_8node shape: retries
+/// bound the window at the 8 ms backoff floor, warm_affinity routes at
+/// every barrier, and node crashes cut windows — ~2.5k windows of ~40
+/// routed dispatches each at 96k requests.
+ClusterConfig faults8(std::int64_t requests) {
+  ClusterConfig config;
+  config.nodes = 8;
+  config.router = RouterPolicy::kWarmAffinity;
+  config.arrivals = ArrivalKind::kBurst;
+  config.horizon_ms = 20000.0;
+  config.offered_rps = static_cast<double>(requests) / 20.0;
+  config.keep_alive_ms = 1000.0;
+  config.faults.cold_start_failure = 0.02;
+  config.faults.crash = 0.02;
+  config.faults.node_crash = 0.25;
+  config.faults.seed = 42;
+  config.retry.max_attempts = 6;
+  config.retry.timeout_ms = 1000.0;
+  config.seed = 42;
+  return config;
+}
+
+using ConfigFn = ClusterConfig (*)(std::int64_t requests);
+
+void run_engine(benchmark::State& state, ConfigFn make,
                 std::size_t sim_threads) {
-  const ClusterConfig config =
-      fleet_config(state.range(0), nodes, sim_threads);
+  ClusterConfig config = make(state.range(0));
+  config.sim_threads = sim_threads;
   const RuntimeParams params = RuntimeParams::defaults();
   const ComputeBackend backend(params);
   Rng rng(config.seed);
@@ -95,39 +135,47 @@ void run_engine(benchmark::State& state, std::size_t nodes,
 
 // Sequential engine schedule (sim_threads = 1): the baseline every
 // parallel execution replays bit-for-bit.
-void BM_ClusterRunSharded(benchmark::State& state, std::size_t nodes) {
-  run_engine(state, nodes, 1);
+void BM_ClusterRunSharded(benchmark::State& state, ConfigFn make) {
+  run_engine(state, make, 1);
 }
 
 // Same schedule driven by 4 window workers.
-void BM_ClusterRunParallel(benchmark::State& state, std::size_t nodes) {
-  run_engine(state, nodes, 4);
+void BM_ClusterRunParallel(benchmark::State& state, ConfigFn make) {
+  run_engine(state, make, 4);
 }
 
-BENCHMARK_CAPTURE(BM_ClusterRunSharded, nodes8, std::size_t{8})
+BENCHMARK_CAPTURE(BM_ClusterRunSharded, nodes8, fleet8)
     ->RangeMultiplier(4)
     ->Range(65536, 1048576)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Complexity();
-BENCHMARK_CAPTURE(BM_ClusterRunParallel, nodes8, std::size_t{8})
+BENCHMARK_CAPTURE(BM_ClusterRunParallel, nodes8, fleet8)
     ->RangeMultiplier(4)
     ->Range(65536, 1048576)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Complexity();
-BENCHMARK_CAPTURE(BM_ClusterRunSharded, nodes32, std::size_t{32})
+BENCHMARK_CAPTURE(BM_ClusterRunSharded, nodes32, fleet32)
     ->RangeMultiplier(4)
     ->Range(65536, 1048576)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Complexity();
-BENCHMARK_CAPTURE(BM_ClusterRunParallel, nodes32, std::size_t{32})
+BENCHMARK_CAPTURE(BM_ClusterRunParallel, nodes32, fleet32)
     ->RangeMultiplier(4)
     ->Range(65536, 1048576)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Complexity();
+BENCHMARK_CAPTURE(BM_ClusterRunSharded, faults8, faults8)
+    ->Arg(96000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_ClusterRunParallel, faults8, faults8)
+    ->Arg(96000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -44,8 +44,11 @@ struct ClusterConfig {
   /// barriers. 1 (the default) runs the identical windowed schedule
   /// inline; results are bit-identical for every thread count
   /// (ShardedParallelParityTest), so this knob trades wall-clock only,
-  /// never results. 0 = one thread per hardware core. Capped at the node
-  /// count, so a one-node run is always sequential.
+  /// never results. Only windows that route enough dispatches to pay for
+  /// a barrier are handed to the workers; narrower ones run inline, so
+  /// extra threads never slow a run below its sequential schedule.
+  /// 0 = one thread per hardware core. Capped at the node count, so a
+  /// one-node run is always sequential.
   std::size_t sim_threads = 1;
   /// Idle instances are reclaimed after this long.
   TimeMs keep_alive_ms = 10000.0;
