@@ -5,8 +5,8 @@
 // a tight request timeout, so the waiting queue is deep and every event
 // kind fires. The offered load scales with N while the horizon stays fixed,
 // which makes the reference loop's O(Q) timeout erase superlinear while
-// the typed loop stays O(N log N); scripts/check.sh asserts both the fit
-// and the speedup at the largest size.
+// the typed loop stays O(N log N); the micro_cluster guard in
+// scripts/bench_guard.py asserts both the fit and the speedup at 65536.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

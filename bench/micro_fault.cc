@@ -1,7 +1,7 @@
 // Fault-layer micro-benchmarks (google-benchmark): the cost of a fault
 // decision roll, and closed-loop cluster throughput with the recovery
-// machinery armed versus healthy. The healthy/faulty pair is the
-// datapoint bench.sh folds into BENCH_deploy.json: it bounds what the
+// machinery armed versus healthy. The healthy/faulty pair, recorded raw
+// in BENCH_deploy.json by scripts/bench_guard.py, bounds what the
 // per-request ReqState tracking, timeout events, and retry bookkeeping
 // cost the simulator.
 #include <benchmark/benchmark.h>

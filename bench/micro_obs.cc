@@ -1,9 +1,9 @@
 // Observability micro-benchmarks (google-benchmark): the raw cost of one
 // flight-recorder record (hot, contended, and disabled), and closed-loop
 // cluster throughput with the recorder attached versus detached. The
-// attached/detached pair is the datapoint bench.sh folds into
-// BENCH_deploy.json: the acceptance bar is recorder-on within 5% of
-// recorder-off for the simulated deploy path.
+// attached/detached pair is what scripts/bench_guard.py folds into
+// BENCH_deploy.json's recorder_overhead: the bar is recorder-on within
+// 5% of recorder-off for the simulated deploy path.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -17,10 +17,11 @@
 //   1.
 //
 // Arrivals are generated once outside the timed region (run_prepared is
-// the loop under test, not the arrival sampler). scripts/check.sh asserts
-// the 4-thread speedup on the 32-node scenario and the 4-thread parity
-// on faults8 (both when the host actually has >= 4 CPUs) and that the
-// parallel loop's complexity fit stays at or below N log N.
+// the loop under test, not the arrival sampler). The micro_parallel
+// guards in scripts/bench_guard.py assert the 4-thread speedup on the
+// 32-node scenario and the 4-thread parity on faults8 (both when the
+// host actually has >= 4 CPUs) and that the parallel loop's complexity
+// fit stays at or below N log N.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -45,8 +45,8 @@ BENCHMARK(BM_GilSimulationThreads)->RangeMultiplier(2)->Range(8, 4096)
 
 // The retired scan-per-step kernel, kept callable as the parity
 // reference: benchmarking it alongside the fast kernel is the speedup
-// evidence for the O(E log N) rewrite (bench.sh folds both BigO fits
-// into BENCH_deploy.json and check.sh guards the fast one).
+// evidence for the O(E log N) rewrite (scripts/bench_guard.py folds both
+// BigO fits into BENCH_deploy.json and guards the fast one).
 void BM_GilSimulationThreadsSlowRef(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto tasks = gil_bench_tasks(n);

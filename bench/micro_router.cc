@@ -3,9 +3,10 @@
 // separates them — lock-step bursts against a keep-alive that barely
 // outlives one burst gap, so placement decides whether instances are
 // still warm when the next burst lands. Each benchmark exports the
-// run's cold_starts / p95_ms / completed as counters; scripts/bench.sh
-// folds them into BENCH_deploy.json ("router_policies") and
-// scripts/check.sh asserts warm-affinity beats random on cold starts.
+// run's cold_starts / p95_ms / completed as counters;
+// scripts/bench_guard.py folds them into BENCH_deploy.json
+// ("router_policies") and asserts warm-affinity beats random by 2x on
+// cold starts.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -266,7 +266,9 @@ struct Shard {
   Ring<TimeoutEntry> timeout_ring;
   std::vector<InboxEntry> inbox;
   std::size_t inbox_cursor = 0;
-  sim::Mailbox<Transfer> outbox;
+  /// Cross-node transfers this window: the owning worker appends, the
+  /// coordinator drains at the barrier (handoff ordered by its mutex).
+  std::vector<Transfer> outbox;
   std::vector<LogEntry> log;
   double busy_area = 0.0;
   TimeMs last_event = 0.0;
@@ -873,7 +875,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   // dispatch-wins-ties and ring-vs-heap (time, seq) order — the
   // reference loop's event order, per shard.
   auto process_window = [&](Shard& s, TimeMs window_end) {
-    auto sink = [&s](const Transfer& t) { s.outbox.push(t); };
+    auto sink = [&s](const Transfer& t) { s.outbox.push_back(t); };
     Tally& tally = s.tally;
     for (;;) {
       prune_timeout_ring(s);
@@ -1198,10 +1200,8 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     }
     ++window_count;
     for (Shard& s : shards) {
-      if (!s.outbox.empty()) {
-        for (const Transfer& t : s.outbox) pending.push_back(t);
-        s.outbox.clear();
-      }
+      pending.insert(pending.end(), s.outbox.begin(), s.outbox.end());
+      s.outbox.clear();
     }
     merge_logs();
   };

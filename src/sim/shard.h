@@ -1,24 +1,24 @@
 // Building blocks for conservative parallel discrete-event simulation
 // (PDES) over sharded event queues: a reusable epoch barrier that drives
-// persistent workers through time windows, and a coordinator-mediated
-// mailbox for cross-shard event transfer.
+// persistent workers through time windows.
 //
 // The model: each shard owns its events and advances them inside a time
 // window [B, B') chosen so no cross-shard interaction generated inside
 // the window can take effect before B' (the lookahead bound — e.g. the
 // retry backoff floor in the cluster engine). Workers park on the
 // barrier between windows; the single coordinator thread then owns ALL
-// state — it drains outboxes, routes transfers, processes globally-
-// ordered events (node crashes), and publishes the next window. Every
-// handoff happens under the barrier mutex, so the engine is data-race
-// free by construction (mutex happens-before), and the per-window
-// signalling allocates nothing.
+// state — it drains each shard's outbox (a plain vector the owning
+// worker appended to during the window), routes transfers, processes
+// globally-ordered events (node crashes), and publishes the next
+// window. Every handoff happens under the barrier mutex, so the engine
+// is data-race free by construction (mutex happens-before), and the
+// per-window signalling allocates nothing.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
-#include <vector>
 
 namespace chiron {
 namespace sim {
@@ -93,30 +93,6 @@ class WindowBarrier {
   std::size_t remaining_ = 0;
   double window_end_ = 0.0;
   bool closed_ = false;
-};
-
-/// Coordinator-mediated transfer mailbox: the owning worker appends
-/// during its window (producer side), the coordinator drains at the
-/// barrier (consumer side) — single producer, single consumer, with the
-/// ownership handoff synchronized by the WindowBarrier mutex, so no
-/// internal locking is needed. reserve() up front keeps the steady
-/// state allocation-free; clear() keeps capacity.
-template <typename T>
-class Mailbox {
- public:
-  void reserve(std::size_t n) { items_.reserve(n); }
-  void push(const T& item) { items_.push_back(item); }
-  bool empty() const { return items_.empty(); }
-  std::size_t size() const { return items_.size(); }
-  const T& operator[](std::size_t i) const { return items_[i]; }
-  void clear() { items_.clear(); }
-  typename std::vector<T>::const_iterator begin() const {
-    return items_.begin();
-  }
-  typename std::vector<T>::const_iterator end() const { return items_.end(); }
-
- private:
-  std::vector<T> items_;
 };
 
 }  // namespace sim

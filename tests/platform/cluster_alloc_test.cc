@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "platform/cluster.h"
 #include "support/alloc_counter.h"
 
@@ -84,14 +85,27 @@ std::pair<std::uint64_t, std::size_t> count_run(double offered_rps) {
   return {allocs, result.offered};
 }
 
-/// Same counting harness over the sharded loop with real routing: four
-/// nodes under the warm-affinity policy (the policy that reads every
-/// router view field). The per-node rings and the router views are part
-/// of the up-front reservation, so the steady-state claim is unchanged.
-std::pair<std::uint64_t, std::size_t> count_sharded_run(double offered_rps) {
+/// Same counting harness over the windowed engine on four nodes with real
+/// routing, `sim_threads` window workers, and `max_attempts` retry
+/// attempts. The per-node rings, the router views, and (with threads) the
+/// pool, barrier, and worker futures are all part of the up-front
+/// reservation, so the steady-state claim is unchanged. Returns
+/// {allocations, offered requests, windows}; the window count comes from
+/// a second, uncounted run with a metrics registry attached.
+struct ShardedCount {
+  std::uint64_t allocs = 0;
+  std::size_t offered = 0;
+  std::int64_t windows = 0;
+};
+
+ShardedCount count_sharded_run(double offered_rps, RouterPolicy policy,
+                               std::uint32_t max_attempts,
+                               std::size_t sim_threads) {
   ClusterConfig config = churn_config(offered_rps);
   config.nodes = 4;
-  config.router = RouterPolicy::kWarmAffinity;
+  config.router = policy;
+  config.retry.max_attempts = max_attempts;
+  config.sim_threads = sim_threads;
   const PodBackend backend(35.0);
   const RuntimeParams params = RuntimeParams::defaults();
   Rng rng(config.seed);
@@ -108,53 +122,32 @@ std::pair<std::uint64_t, std::size_t> count_sharded_run(double offered_rps) {
   EXPECT_GT(result.completed, 0u);
   EXPECT_GT(result.failed, 0u);
   EXPECT_EQ(result.node_results.size(), 4u);
-  return {allocs, result.offered};
-}
 
-/// The windowed engine with real worker threads (sim_threads = 4): the
-/// pool, barrier, futures, and per-shard buffers are all part of setup;
-/// the per-window loop — barrier signalling included — must allocate
-/// nothing in steady state.
-std::pair<std::uint64_t, std::size_t> count_parallel_run(double offered_rps) {
-  ClusterConfig config = churn_config(offered_rps);
-  config.nodes = 4;
-  config.router = RouterPolicy::kWarmAffinity;
-  config.sim_threads = 4;
-  const PodBackend backend(35.0);
-  const RuntimeParams params = RuntimeParams::defaults();
-  Rng rng(config.seed);
-  ArrivalGenerator gen(config.arrivals, config.offered_rps, rng.split());
-  const std::vector<TimeMs> arrivals = gen.generate(config.horizon_ms);
-  const ClusterSimulator sim(config, params);
-
-  testsupport::ScopedAllocCounter counter;
-  const ClusterResult result = sim.run_prepared(backend, 1, arrivals, 1);
-  const std::uint64_t allocs = counter.count();
-
-  EXPECT_EQ(result.offered, result.completed + result.timed_out +
-                                result.dropped);
-  EXPECT_GT(result.completed, 0u);
-  EXPECT_GT(result.failed, 0u);
-  EXPECT_EQ(result.node_results.size(), 4u);
-  return {allocs, result.offered};
+  obs::MetricsRegistry metrics;
+  config.metrics = &metrics;
+  ClusterSimulator(config, params).run_prepared(backend, 1, arrivals, 1);
+  return {allocs, result.offered,
+          metrics.counter("cluster.sim.windows").value()};
 }
 
 TEST(ClusterAllocationTest, ParallelEngineAllocationsDoNotScaleWithRequests) {
   if (!testsupport::alloc_counting_supported()) {
     GTEST_SKIP() << "allocation counting disabled under sanitizers";
   }
-  const auto [small_allocs, small_offered] = count_parallel_run(400.0);
-  const auto [big_allocs, big_offered] = count_parallel_run(1600.0);
-  ASSERT_GT(big_offered, small_offered + 8000u);
+  const ShardedCount small =
+      count_sharded_run(400.0, RouterPolicy::kWarmAffinity, 3, 4);
+  const ShardedCount big =
+      count_sharded_run(1600.0, RouterPolicy::kWarmAffinity, 3, 4);
+  ASSERT_GT(big.offered, small.offered + 8000u);
 
   // Setup additionally spawns the pool threads, the barrier, and the
   // worker futures — still a constant. Thread creation allocates more
   // than plain buffers, so the absolute budget is looser; the growth
   // bound is the claim that matters.
-  EXPECT_LT(small_allocs, 192u);
-  EXPECT_LE(big_allocs, small_allocs + 16u)
-      << "serving " << (big_offered - small_offered)
-      << " more requests allocated " << (big_allocs - small_allocs)
+  EXPECT_LT(small.allocs, 192u);
+  EXPECT_LE(big.allocs, small.allocs + 16u)
+      << "serving " << (big.offered - small.offered)
+      << " more requests allocated " << (big.allocs - small.allocs)
       << " more times: the windowed engine's per-event path is no longer "
          "allocation-free";
 }
@@ -163,17 +156,43 @@ TEST(ClusterAllocationTest, ShardedLoopAllocationsDoNotScaleWithRequests) {
   if (!testsupport::alloc_counting_supported()) {
     GTEST_SKIP() << "allocation counting disabled under sanitizers";
   }
-  const auto [small_allocs, small_offered] = count_sharded_run(400.0);
-  const auto [big_allocs, big_offered] = count_sharded_run(1600.0);
-  ASSERT_GT(big_offered, small_offered + 8000u);
+  const ShardedCount small =
+      count_sharded_run(400.0, RouterPolicy::kWarmAffinity, 3, 1);
+  const ShardedCount big =
+      count_sharded_run(1600.0, RouterPolicy::kWarmAffinity, 3, 1);
+  ASSERT_GT(big.offered, small.offered + 8000u);
 
   // Setup reserves a few more buffers than a one-node run (per-node
   // rings, router views, per-node sinks) — still a small constant.
-  EXPECT_LT(small_allocs, 96u);
-  EXPECT_LE(big_allocs, small_allocs + 8u)
-      << "serving " << (big_offered - small_offered)
-      << " more requests allocated " << (big_allocs - small_allocs)
+  EXPECT_LT(small.allocs, 96u);
+  EXPECT_LE(big.allocs, small.allocs + 8u)
+      << "serving " << (big.offered - small.offered)
+      << " more requests allocated " << (big.allocs - small.allocs)
       << " more times: the sharded hot path is no longer allocation-free";
+}
+
+// Stateless policies without retries never transfer a request between
+// nodes, so the whole run is one window: the engine pre-routes every
+// arrival and reserves each node's inbox and log exactly. That path must
+// stay allocation-free too.
+TEST(ClusterAllocationTest, SingleWindowAllocationsDoNotScaleWithRequests) {
+  if (!testsupport::alloc_counting_supported()) {
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+  }
+  for (const RouterPolicy policy :
+       {RouterPolicy::kRoundRobin, RouterPolicy::kRandom}) {
+    SCOPED_TRACE(to_string(policy));
+    const ShardedCount small = count_sharded_run(400.0, policy, 1, 4);
+    const ShardedCount big = count_sharded_run(1600.0, policy, 1, 4);
+    ASSERT_GT(big.offered, small.offered + 8000u);
+    EXPECT_EQ(small.windows, 1);
+    EXPECT_EQ(big.windows, 1);
+    EXPECT_LE(big.allocs, small.allocs + 8u)
+        << "serving " << (big.offered - small.offered)
+        << " more requests allocated " << (big.allocs - small.allocs)
+        << " more times: the single-window pre-route is no longer "
+           "allocation-free";
+  }
 }
 
 TEST(ClusterAllocationTest, TypedLoopAllocationsDoNotScaleWithRequests) {
