@@ -1,4 +1,4 @@
-// Serving-loop micro-benchmarks (google-benchmark): the serving engine
+// Serving-loop micro-benchmarks (bench/harness.h): the serving engine
 // (ClusterSimulator::run) against the retired closure-based loop
 // (run_prepared_reference) on a deliberately high-churn scenario — a
 // small fixed fleet driven far past saturation with faults, retries, and
@@ -7,18 +7,18 @@
 // which makes the reference loop's O(Q) timeout erase superlinear while
 // the typed loop stays O(N log N); the micro_cluster guard in
 // scripts/bench_guard.py asserts both the fit and the speedup at 65536.
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
 #include <string>
 
 #include "common/rng.h"
+#include "harness.h"
 #include "obs/recorder.h"
 #include "platform/cluster.h"
 
 namespace {
 
 using namespace chiron;
+using bench::Timed;
 
 /// Constant-latency, allocation-free backend sized so the cluster fits
 /// exactly eight instances: saturation at ~230 rps, far below the
@@ -62,64 +62,39 @@ ClusterConfig churn_config(std::int64_t requests) {
   return config;
 }
 
-/// run() through the reference loop: the same arrivals recipe and a
-/// freshly minted request-id block.
-ClusterResult run_reference(const ClusterSimulator& sim,
-                            const ClusterConfig& config,
-                            const Backend& backend) {
-  Rng rng(config.seed);
-  ArrivalGenerator arrivals(config.arrivals, config.offered_rps, rng.split());
-  const std::vector<TimeMs> times = arrivals.generate(config.horizon_ms);
-  return sim.run_prepared_reference(backend, 1, times,
-                                    obs::mint_request_ids(times.size()));
+/// ~`requests` churn arrivals through the serving engine, or through the
+/// reference loop with run()'s arrival recipe and fresh request ids.
+Timed churn(std::int64_t requests, bool reference) {
+  const ClusterConfig config = churn_config(requests);
+  const RuntimeParams params = RuntimeParams::defaults();
+  return {[=, sim = ClusterSimulator(config, params),
+           backend = PodBackend(params)] {
+    if (!reference) {
+      bench::do_not_optimize(sim.run(backend, 1).completed);
+      return;
+    }
+    Rng rng(config.seed);
+    ArrivalGenerator gen(config.arrivals, config.offered_rps, rng.split());
+    const std::vector<TimeMs> times = gen.generate(config.horizon_ms);
+    bench::do_not_optimize(
+        sim.run_prepared_reference(backend, 1, times,
+                                   obs::mint_request_ids(times.size()))
+            .completed);
+  }};
 }
 
-// Typed-event hot path: slab-backed POD events, O(1) cancellation, lazy
-// queue tombstones — zero steady-state allocations per request.
-void BM_ClusterRun(benchmark::State& state) {
-  const ClusterConfig config = churn_config(state.range(0));
-  const RuntimeParams params = RuntimeParams::defaults();
-  const PodBackend backend(params);
-  const ClusterSimulator sim(config, params);
-  std::size_t offered = 0;
-  for (auto _ : state) {
-    const ClusterResult result = sim.run(backend, 1);
-    offered = result.offered;
-    benchmark::DoNotOptimize(result.completed);
-  }
-  state.SetComplexityN(state.range(0));
-  state.SetItemsProcessed(static_cast<std::int64_t>(offered) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ClusterRun)
-    ->RangeMultiplier(4)
-    ->Range(1024, 65536)
-    ->Unit(benchmark::kMillisecond)
-    ->Complexity();
-
-// Closure-era reference loop: one std::function per scheduled event,
-// hash-set cancellation, O(Q) find-and-erase on every queued timeout.
-void BM_ClusterRunReference(benchmark::State& state) {
-  const ClusterConfig config = churn_config(state.range(0));
-  const RuntimeParams params = RuntimeParams::defaults();
-  const PodBackend backend(params);
-  const ClusterSimulator sim(config, params);
-  std::size_t offered = 0;
-  for (auto _ : state) {
-    const ClusterResult result = run_reference(sim, config, backend);
-    offered = result.offered;
-    benchmark::DoNotOptimize(result.completed);
-  }
-  state.SetComplexityN(state.range(0));
-  state.SetItemsProcessed(static_cast<std::int64_t>(offered) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ClusterRunReference)
-    ->RangeMultiplier(4)
-    ->Range(1024, 65536)
-    ->Unit(benchmark::kMillisecond)
-    ->Complexity();
+[[maybe_unused]] const bool registered = [] {
+  const bench::Shape sizes{{1024, 4096, 16384, 65536}, /*ms=*/true};
+  // Typed-event hot path: slab-backed POD events, O(1) cancellation, lazy
+  // queue tombstones — zero steady-state allocations per request.
+  bench::RegisterBenchmark(
+      "BM_ClusterRun", [](std::int64_t n) { return churn(n, false); }, sizes);
+  // Closure-era reference loop: one std::function per scheduled event,
+  // hash-set cancellation, O(Q) find-and-erase on every queued timeout.
+  bench::RegisterBenchmark(
+      "BM_ClusterRunReference", [](std::int64_t n) { return churn(n, true); },
+      sizes);
+  return true;
+}();
 
 }  // namespace
-
-BENCHMARK_MAIN();

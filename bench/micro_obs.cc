@@ -1,13 +1,11 @@
-// Observability micro-benchmarks (google-benchmark): the raw cost of one
-// flight-recorder record (hot, contended, and disabled), and closed-loop
-// cluster throughput with the recorder attached versus detached. The
-// attached/detached pair is what scripts/bench_guard.py folds into
-// BENCH_deploy.json's recorder_overhead: the bar is recorder-on within
-// 5% of recorder-off for the simulated deploy path.
-#include <benchmark/benchmark.h>
-
+// Observability micro-benchmarks (bench/harness.h): the raw cost of one
+// flight-recorder record, and closed-loop cluster throughput with the
+// recorder attached versus detached, which scripts/bench_guard.py folds
+// into recorder_overhead: recorder-on must stay within 5% of off.
 #include <cstdint>
+#include <memory>
 
+#include "harness.h"
 #include "obs/recorder.h"
 #include "platform/cluster.h"
 #include "platform/systems.h"
@@ -16,6 +14,7 @@
 namespace {
 
 using namespace chiron;
+using bench::Timed;
 
 SystemOptions quiet_options() {
   SystemOptions opts;
@@ -37,67 +36,40 @@ ClusterConfig load_config() {
   return config;
 }
 
-void BM_RecorderRecord(benchmark::State& state) {
-  obs::FlightRecorder rec(1 << 14);
-  rec.set_enabled(true);
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    rec.record(obs::RecKind::kMark, ++id, 1, 0.0, 1.0);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RecorderRecord);
-
-void BM_RecorderRecordDisabled(benchmark::State& state) {
-  // The always-on promise: a disabled recorder costs one atomic load.
-  obs::FlightRecorder rec(1 << 14);
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    rec.record(obs::RecKind::kMark, ++id, 1, 0.0, 1.0);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RecorderRecordDisabled);
-
-void BM_RecorderRecordContended(benchmark::State& state) {
-  // Striping keeps concurrent writers mostly off each other's locks.
-  static obs::FlightRecorder rec(1 << 14);
-  if (state.thread_index() == 0) rec.set_enabled(true);
-  std::uint64_t id = static_cast<std::uint64_t>(state.thread_index()) << 32;
-  for (auto _ : state) {
-    rec.record(obs::RecKind::kMark, ++id, 1, 0.0, 1.0);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RecorderRecordContended)->Threads(4);
-
-void BM_ClusterRecorderOff(benchmark::State& state) {
+/// Closed-loop Faastlane SLApp cluster runs, with a flight recorder
+/// attached when `record` is set.
+Timed cluster_run(bool record) {
   const SystemOptions opts = quiet_options();
-  const Workflow wf = make_slapp();
-  const auto backend = make_system("Faastlane", wf, opts);
-  ClusterSimulator sim(load_config(), opts.params);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(*backend, 1).completed);
-  }
-}
-BENCHMARK(BM_ClusterRecorderOff)->Unit(benchmark::kMillisecond);
-
-void BM_ClusterRecorderOn(benchmark::State& state) {
-  const SystemOptions opts = quiet_options();
-  const Workflow wf = make_slapp();
-  const auto backend = make_system("Faastlane", wf, opts);
-  obs::FlightRecorder rec(1 << 16);
-  rec.set_enabled(true);
+  std::shared_ptr<const Backend> backend =
+      make_system("Faastlane", make_slapp(), opts);
+  std::shared_ptr<obs::FlightRecorder> rec;
   ClusterConfig config = load_config();
-  config.recorder = &rec;
-  ClusterSimulator sim(config, opts.params);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(*backend, 1).completed);
-    rec.clear();  // keep the rings from saturating across iterations
+  if (record) {
+    rec = std::make_shared<obs::FlightRecorder>(1 << 16);
+    rec->set_enabled(true);
+    config.recorder = rec.get();
   }
+  return {[=, sim = ClusterSimulator(config, opts.params)] {
+    bench::do_not_optimize(sim.run(*backend, 1).completed);
+    if (rec) rec->clear();  // keep the rings from saturating across runs
+  }};
 }
-BENCHMARK(BM_ClusterRecorderOn)->Unit(benchmark::kMillisecond);
+
+[[maybe_unused]] const bool registered = [] {
+  bench::RegisterBenchmark("BM_RecorderRecord", [](std::int64_t) {
+    auto rec = std::make_shared<obs::FlightRecorder>(1 << 14);
+    rec->set_enabled(true);
+    return Timed{[rec, id = std::uint64_t{0}]() mutable {
+      rec->record(obs::RecKind::kMark, ++id, 1, 0.0, 1.0);
+    }};
+  });
+  bench::RegisterBenchmark("BM_ClusterRecorderOff", [](std::int64_t) {
+    return cluster_run(false);
+  }, {{}, /*ms=*/true});
+  bench::RegisterBenchmark("BM_ClusterRecorderOn", [](std::int64_t) {
+    return cluster_run(true);
+  }, {{}, /*ms=*/true});
+  return true;
+}();
 
 }  // namespace
-
-BENCHMARK_MAIN();

@@ -1,4 +1,4 @@
-// Windowed-engine scaling micro-benchmarks (google-benchmark): the
+// Windowed-engine scaling micro-benchmarks (bench/harness.h): the
 // multi-node serving loop at sim_threads = 1 (the engine's own
 // sequential schedule) against sim_threads = 4, in two regimes.
 //
@@ -17,18 +17,15 @@
 //   1.
 //
 // Arrivals are generated once outside the timed region (run_prepared is
-// the loop under test, not the arrival sampler). The micro_parallel
-// guards in scripts/bench_guard.py assert the 4-thread speedup on the
-// 32-node scenario and the 4-thread parity on faults8 (both when the
-// host actually has >= 4 CPUs) and that the parallel loop's complexity
-// fit stays at or below N log N.
-#include <benchmark/benchmark.h>
-
+// the loop under test, not the arrival sampler). The guards on these
+// numbers live in the micro_parallel row of scripts/bench_guard.py.
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
+#include "harness.h"
 #include "platform/cluster.h"
 #include "runtime/params.h"
 
@@ -55,7 +52,7 @@ class ComputeBackend : public Backend {
       x ^= x >> 7;
       x ^= x << 17;
     }
-    benchmark::DoNotOptimize(x);
+    bench::do_not_optimize(x);
     RunResult r;
     r.e2e_latency_ms = 35.0;
     return r;
@@ -81,21 +78,13 @@ ClusterConfig fleet_config(std::int64_t requests, std::size_t nodes) {
   return config;
 }
 
-ClusterConfig fleet8(std::int64_t requests) {
-  return fleet_config(requests, 8);
-}
-
-ClusterConfig fleet32(std::int64_t requests) {
-  return fleet_config(requests, 32);
-}
-
-/// ~`requests` arrivals over 20 s in the faults_8node shape: retries
-/// bound the window at the 8 ms backoff floor, warm_affinity routes at
-/// every barrier, and node crashes cut windows — ~2.5k windows of ~40
-/// routed dispatches each at 96k requests.
-ClusterConfig faults8(std::int64_t requests) {
+/// ~`requests` arrivals over 20 s in the faults_8node shape (8 nodes):
+/// retries bound the window at the 8 ms backoff floor, warm_affinity
+/// routes at every barrier, and node crashes cut windows — ~2.5k windows
+/// of ~40 routed dispatches each at 96k requests.
+ClusterConfig faults_config(std::int64_t requests, std::size_t nodes) {
   ClusterConfig config;
-  config.nodes = 8;
+  config.nodes = nodes;
   config.router = RouterPolicy::kWarmAffinity;
   config.arrivals = ArrivalKind::kBurst;
   config.horizon_ms = 20000.0;
@@ -111,73 +100,45 @@ ClusterConfig faults8(std::int64_t requests) {
   return config;
 }
 
-using ConfigFn = ClusterConfig (*)(std::int64_t requests);
+using ConfigFn = ClusterConfig (*)(std::int64_t requests, std::size_t nodes);
 
-void run_engine(benchmark::State& state, ConfigFn make,
-                std::size_t sim_threads) {
-  ClusterConfig config = make(state.range(0));
+/// The engine at `sim_threads` on ~`requests` arrivals of `make`'s
+/// scenario on `nodes` nodes.
+bench::Timed run_engine(ConfigFn make, std::size_t nodes,
+                        std::int64_t requests, std::size_t sim_threads) {
+  ClusterConfig config = make(requests, nodes);
   config.sim_threads = sim_threads;
   const RuntimeParams params = RuntimeParams::defaults();
-  const ComputeBackend backend(params);
   Rng rng(config.seed);
   ArrivalGenerator gen(config.arrivals, config.offered_rps, rng.split());
-  const std::vector<TimeMs> arrivals = gen.generate(config.horizon_ms);
-  const ClusterSimulator sim(config, params);
-  std::size_t offered = 0;
-  for (auto _ : state) {
-    const ClusterResult result = sim.run_prepared(backend, 1, arrivals, 1);
-    offered = result.offered;
-    benchmark::DoNotOptimize(result.completed);
+  return {[arrivals = gen.generate(config.horizon_ms),
+           sim = ClusterSimulator(config, params),
+           backend = ComputeBackend(params)] {
+    bench::do_not_optimize(sim.run_prepared(backend, 1, arrivals, 1).completed);
+  }};
+}
+
+[[maybe_unused]] const bool registered = [] {
+  const std::vector<std::int64_t> fleet_sizes = {65536, 262144, 1048576};
+  for (const auto& [scenario, make, nodes, sizes] :
+       {std::tuple{"nodes8", &fleet_config, 8, fleet_sizes},
+        std::tuple{"nodes32", &fleet_config, 32, fleet_sizes},
+        std::tuple{"faults8", &faults_config, 8,
+                   std::vector<std::int64_t>{96000}}}) {
+    // The engine's own sequential schedule (sim_threads = 1), the
+    // baseline every parallel execution replays bit-for-bit, then the
+    // same schedule driven by 4 window workers.
+    for (const auto& [kind, threads] :
+         {std::pair{"Sharded", 1}, std::pair{"Parallel", 4}}) {
+      bench::RegisterBenchmark(
+          std::string("BM_ClusterRun") + kind + "/" + scenario,
+          [make = make, nodes = nodes, threads = threads](std::int64_t n) {
+            return run_engine(make, nodes, n, threads);
+          },
+          {sizes, /*ms=*/true, /*real_time=*/true});
+    }
   }
-  state.SetComplexityN(state.range(0));
-  state.SetItemsProcessed(static_cast<std::int64_t>(offered) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-
-// Sequential engine schedule (sim_threads = 1): the baseline every
-// parallel execution replays bit-for-bit.
-void BM_ClusterRunSharded(benchmark::State& state, ConfigFn make) {
-  run_engine(state, make, 1);
-}
-
-// Same schedule driven by 4 window workers.
-void BM_ClusterRunParallel(benchmark::State& state, ConfigFn make) {
-  run_engine(state, make, 4);
-}
-
-BENCHMARK_CAPTURE(BM_ClusterRunSharded, nodes8, fleet8)
-    ->RangeMultiplier(4)
-    ->Range(65536, 1048576)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClusterRunParallel, nodes8, fleet8)
-    ->RangeMultiplier(4)
-    ->Range(65536, 1048576)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClusterRunSharded, nodes32, fleet32)
-    ->RangeMultiplier(4)
-    ->Range(65536, 1048576)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClusterRunParallel, nodes32, fleet32)
-    ->RangeMultiplier(4)
-    ->Range(65536, 1048576)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClusterRunSharded, faults8, faults8)
-    ->Arg(96000)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_ClusterRunParallel, faults8, faults8)
-    ->Arg(96000)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+  return true;
+}();
 
 }  // namespace
-
-BENCHMARK_MAIN();

@@ -1,18 +1,16 @@
-// Router-policy micro-benchmark (google-benchmark): the five placement
+// Router-policy micro-benchmark (bench/harness.h): the five placement
 // policies of the sharded serving loop under the skewed load that
 // separates them — lock-step bursts against a keep-alive that barely
 // outlives one burst gap, so placement decides whether instances are
-// still warm when the next burst lands. Each benchmark exports the
-// run's cold_starts / p95_ms / completed as counters;
-// scripts/bench_guard.py folds them into BENCH_deploy.json
-// ("router_policies") and asserts warm-affinity beats random by 2x on
-// cold starts.
-#include <benchmark/benchmark.h>
-
+// still warm when the next burst lands. Each entry reports the run's
+// cold_starts / p95_ms / completed as counters for the micro_router row
+// of scripts/bench_guard.py.
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/rng.h"
+#include "harness.h"
 #include "platform/cluster.h"
 #include "platform/router.h"
 
@@ -58,35 +56,31 @@ ClusterConfig bursty_config(RouterPolicy policy) {
   return config;
 }
 
-void BM_RouterPolicy(benchmark::State& state, RouterPolicy policy) {
-  const ClusterConfig config = bursty_config(policy);
-  const RuntimeParams params = RuntimeParams::defaults();
-  const PodBackend backend(params);
-  const ClusterSimulator sim(config, params);
-  ClusterResult result;
-  for (auto _ : state) {
-    result = sim.run(backend, 1);
-    benchmark::DoNotOptimize(result.completed);
+[[maybe_unused]] const bool registered = [] {
+  for (const auto& [name, policy] :
+       {std::pair{"round_robin", RouterPolicy::kRoundRobin},
+        std::pair{"random", RouterPolicy::kRandom},
+        std::pair{"least_outstanding", RouterPolicy::kLeastOutstanding},
+        std::pair{"power_of_two", RouterPolicy::kPowerOfTwo},
+        std::pair{"warm_affinity", RouterPolicy::kWarmAffinity}}) {
+    bench::RegisterBenchmark(
+        std::string("BM_RouterPolicy/") + name,
+        [policy = policy](std::int64_t) {
+          const RuntimeParams params = RuntimeParams::defaults();
+          auto result = std::make_shared<ClusterResult>();
+          return bench::Timed{
+              [result, sim = ClusterSimulator(bursty_config(policy), params),
+               backend = PodBackend(params)] { *result = sim.run(backend, 1); },
+              [result] {
+                return bench::Counters{
+                    {"cold_starts", static_cast<double>(result->cold_starts)},
+                    {"p95_ms", result->p95_ms},
+                    {"completed", static_cast<double>(result->completed)}};
+              }};
+        },
+        {{}, /*ms=*/true});
   }
-  state.counters["cold_starts"] =
-      static_cast<double>(result.cold_starts);
-  state.counters["p95_ms"] = result.p95_ms;
-  state.counters["completed"] = static_cast<double>(result.completed);
-  state.SetItemsProcessed(static_cast<std::int64_t>(result.offered) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK_CAPTURE(BM_RouterPolicy, round_robin, RouterPolicy::kRoundRobin)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RouterPolicy, random, RouterPolicy::kRandom)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RouterPolicy, least_outstanding,
-                  RouterPolicy::kLeastOutstanding)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RouterPolicy, power_of_two, RouterPolicy::kPowerOfTwo)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RouterPolicy, warm_affinity, RouterPolicy::kWarmAffinity)
-    ->Unit(benchmark::kMillisecond);
+  return true;
+}();
 
 }  // namespace
-
-BENCHMARK_MAIN();

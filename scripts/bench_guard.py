@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The google-benchmark micro suites (bench/micro_*.cc) as one table.
+"""The micro suites (bench/micro_*.cc on bench/harness.h) as one table.
 
 Each SUITES row names a suite, its smoke filter, the values a full run
 folds into BENCH_deploy.json, and the guards tier-1 enforces on quick
@@ -33,7 +33,8 @@ def raw_time(name):
 class Ratio:
     """num / den over one field of two benchmarks. As a guard, `op limit`
     must hold on hosts with >= `cpus` CPUs. Recorded, a timing ratio needs
-    a release libbenchmark and `cpus` CPUs, or it reads unmeasured."""
+    bench binaries built with NDEBUG and `cpus` CPUs, or it reads
+    unmeasured."""
     num: str
     den: str
     op: str = None
@@ -54,7 +55,7 @@ class Ratio:
         if v is None:
             return None
         if self.metric == "real_time" and library != "release":
-            return {"unmeasured": "libbenchmark is a %r build" % library}
+            return {"unmeasured": "bench binaries built without NDEBUG"}
         if cpus < self.cpus:
             return {"unmeasured": "only %d of %d CPUs" % (cpus, self.cpus)}
         return v
@@ -108,7 +109,7 @@ def check(checks, doc, cpus):
 @dataclass
 class Suite:
     """`derived` nests like the JSON it writes; each leaf maps (entries by
-    name, libbenchmark build type, CPUs online) to a value, None = omit."""
+    name, bench build type, CPUs online) to a value, None = omit."""
     name: str
     smoke: str  # --benchmark_filter of the smoke pass
     derived: dict = field(default_factory=dict)
@@ -120,7 +121,6 @@ PAR = "BM_ClusterRunParallel/%s/real_time"  # sim_threads = 4
 F8 = "faults8/96000"
 
 SUITES = [
-    Suite("micro_pgp", "BM_PgpScheduleKl/5$"),
     # The fast interleaving kernels vs their retired scan-per-step
     # references. A GIL fit of N^2 means the inner loop was re-linearised.
     Suite("micro_predictor", "BM_WorkflowPrediction/5$", derived={
@@ -133,14 +133,12 @@ SUITES = [
         (["--benchmark_filter=BM_GilSimulationThreads/",
           "--benchmark_min_time=0.01"], [Fit("BM_GilSimulationThreads")]),
     ]),
-    Suite("micro_fault", "BM_FaultInjectorRoll$"),
     Suite("micro_obs", "BM_RecorderRecord$", derived={"recorder_overhead": {
         "cluster_recorder_on_ms": raw_time("BM_ClusterRecorderOn"),
         "cluster_recorder_off_ms": raw_time("BM_ClusterRecorderOff"),
         "overhead_pct":
             OverheadPct("BM_ClusterRecorderOn", "BM_ClusterRecorderOff"),
     }}),
-    Suite("micro_sweep", "BM_SweepSequential/2$"),
     # The typed-event serving loop vs the retired closure loop on a
     # high-churn overload scenario. Full runs show several times 2x; 2x
     # keeps the quick min_time=0.01 pass from flaking on a loaded box.
@@ -245,7 +243,7 @@ def build_suites():
 def run(build, suite, args):
     out = os.path.join(build, suite + ".json")
     subprocess.run([os.path.join(build, "bench", "bench_" + suite), *args,
-                    "--benchmark_format=json", "--benchmark_out=" + out],
+                    "--benchmark_out=" + out],
                    check=True, stdout=subprocess.DEVNULL)
     with open(out) as f:
         return json.load(f)
@@ -267,8 +265,8 @@ def record(build):
             raw[s.name] = run(build, s.name, [])
     library = raw["micro_predictor"]["context"].get("library_build_type")
     if library != "release":
-        print("WARNING: libbenchmark is a %r build: timing ratios are "
-              "written as unmeasured" % library)
+        print("WARNING: bench binaries built without NDEBUG (%r): timing "
+              "ratios are written as unmeasured" % library)
     derived = fold(raw, os.cpu_count() or 1)
     print(json.dumps(derived, indent=1))
     with open("BENCH_deploy.json", "w") as f:

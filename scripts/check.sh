@@ -33,7 +33,8 @@ JOBS="${JOBS:-$(nproc)}"
 BUILD_DIR="${BUILD_DIR:-build}"
 
 echo "== tier-1: configure + build (${BUILD_DIR}) =="
-cmake -B "${BUILD_DIR}" -S . >/dev/null
+# No benchmark package: the micro suites time themselves (bench/harness.h).
+cmake -B "${BUILD_DIR}" -S . -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 echo "== tier-1: ctest =="
