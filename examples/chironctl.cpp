@@ -56,9 +56,14 @@
 #include <sstream>
 #include <string>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <thread>
+#include <vector>
 
 #include "common/log.h"
 #include "common/table.h"
@@ -99,6 +104,38 @@ const char* kDemoDefinition = R"JSON({
   }
 })JSON";
 
+// Parses all of `text` as a finite number no less than `lo`; throws
+// std::invalid_argument naming the problem.
+double parse_number(const std::string& text, double lo) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0') {
+    throw std::invalid_argument("'" + text + "' is not a number");
+  }
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument("'" + text + "' is not finite");
+  }
+  if (v < lo) {
+    throw std::invalid_argument("must be >= " + format_fixed(lo, 0) +
+                                ", got " + text);
+  }
+  return v;
+}
+
+// A whole number in [lo, hi]: counts, thread numbers, ports.
+std::size_t parse_count(const std::string& text, std::size_t lo = 0,
+                        std::size_t hi = std::size_t{1} << 40) {
+  const double v = parse_number(text, static_cast<double>(lo));
+  if (v != std::floor(v)) {
+    throw std::invalid_argument("must be a whole number, got " + text);
+  }
+  if (v > static_cast<double>(hi)) {
+    throw std::invalid_argument("must be <= " + std::to_string(hi) +
+                                ", got " + text);
+  }
+  return static_cast<std::size_t>(v);
+}
+
 IsolationMode parse_mode(const std::string& mode) {
   if (mode == "native") return IsolationMode::kNative;
   if (mode == "mpk") return IsolationMode::kMpk;
@@ -134,77 +171,99 @@ int main(int argc, char** argv) {
   std::string recorder_dump;
   std::size_t trace_limit = 0; // 0 = unbounded
 
+  // Every flag, once. A value flag takes the next argument and reports a
+  // bad value by throwing; a switch takes none.
+  struct Flag {
+    const char* name;
+    bool takes_value;
+    std::function<void(const std::string&)> apply;
+  };
+  const auto value = [](const char* name, auto apply) {
+    return Flag{name, true, std::move(apply)};
+  };
+  const auto on = [](const char* name, bool& target) {
+    return Flag{name, false, [&target](const std::string&) { target = true; }};
+  };
+  const std::vector<Flag> flags = {
+      value("--slo", [&](const std::string& v) {
+        slo_override = parse_number(v, 0.0);
+      }),
+      value("--mode", [&](const std::string& v) { mode = parse_mode(v); }),
+      value("--emit", [&](const std::string& v) { emit_dir = v; }),
+      value("--trace", [&](const std::string& v) { trace_path = v; }),
+      on("--metrics", dump_metrics),
+      value("--deploy-threads", [&](const std::string& v) {
+        deploy_threads = parse_count(v);
+      }),
+      value("--faults", [&](const std::string& v) {
+        fault_text = v;
+        fault_run = true;
+      }),
+      value("--retry", [&](const std::string& v) {
+        retry_attempts = static_cast<int>(parse_count(v, 0, 1000000));
+        fault_run = true;
+      }),
+      value("--timeout-ms", [&](const std::string& v) {
+        timeout_ms = parse_number(v, 0.0);
+        fault_run = true;
+      }),
+      value("--rps", [&](const std::string& v) {
+        offered_rps = parse_number(v, std::numeric_limits<double>::lowest());
+        if (offered_rps <= 0.0) {
+          throw std::invalid_argument("must be > 0, got " + v);
+        }
+      }),
+      value("--sweep", [&](const std::string& v) { sweep_n = parse_count(v); }),
+      value("--nodes", [&](const std::string& v) {
+        cluster_nodes = parse_count(v, 1);
+      }),
+      value("--sim-threads", [&](const std::string& v) {
+        sim_threads = parse_count(v);
+      }),
+      value("--router", [&](const std::string& v) {
+        router_policy = parse_router_policy(v);
+      }),
+      value("--serve-obs", [&](const std::string& v) {
+        serve_obs = true;
+        obs_port = static_cast<int>(parse_count(v, 0, 65535));
+      }),
+      value("--obs-linger-ms", [&](const std::string& v) {
+        obs_linger_ms = static_cast<long>(parse_count(v));
+      }),
+      on("--recorder", recorder_on),
+      value("--recorder-capacity", [&](const std::string& v) {
+        recorder_on = true;
+        recorder_capacity = parse_count(v, 1);
+      }),
+      value("--recorder-dump", [&](const std::string& v) {
+        recorder_on = true;
+        recorder_dump = v;
+      }),
+      value("--trace-limit", [&](const std::string& v) {
+        trace_limit = parse_count(v);
+      }),
+  };
+
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--slo" && i + 1 < argc) {
-      slo_override = std::stod(argv[++i]);
-    } else if (arg == "--mode" && i + 1 < argc) {
-      mode = parse_mode(argv[++i]);
-    } else if (arg == "--emit" && i + 1 < argc) {
-      emit_dir = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--metrics") {
-      dump_metrics = true;
-    } else if (arg == "--deploy-threads" && i + 1 < argc) {
-      deploy_threads = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--faults" && i + 1 < argc) {
-      fault_text = argv[++i];
-      fault_run = true;
-    } else if (arg == "--retry" && i + 1 < argc) {
-      retry_attempts = std::stoi(argv[++i]);
-      fault_run = true;
-    } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      timeout_ms = std::stod(argv[++i]);
-      fault_run = true;
-    } else if (arg == "--rps" && i + 1 < argc) {
-      offered_rps = std::stod(argv[++i]);
-    } else if (arg == "--sweep" && i + 1 < argc) {
-      sweep_n = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--nodes" && i + 1 < argc) {
-      cluster_nodes = static_cast<std::size_t>(std::stoul(argv[++i]));
-      if (cluster_nodes == 0) {
-        std::cerr << "--nodes must be >= 1\n";
+    if (arg.rfind("--", 0) == 0) {
+      const auto flag =
+          std::find_if(flags.begin(), flags.end(),
+                       [&arg](const Flag& f) { return arg == f.name; });
+      if (flag == flags.end()) {
+        std::cerr << "unknown flag " << arg << "\n";
         return 2;
       }
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      sim_threads = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--router" && i + 1 < argc) {
+      if (flag->takes_value && i + 1 >= argc) {
+        std::cerr << arg << " requires a value\n";
+        return 2;
+      }
       try {
-        router_policy = parse_router_policy(argv[++i]);
+        flag->apply(flag->takes_value ? argv[++i] : "");
       } catch (const std::exception& e) {
-        std::cerr << "router error: " << e.what() << "\n";
+        std::cerr << arg << ": " << e.what() << "\n";
         return 2;
       }
-    } else if (arg == "--serve-obs" && i + 1 < argc) {
-      serve_obs = true;
-      obs_port = std::stoi(argv[++i]);
-    } else if (arg == "--obs-linger-ms" && i + 1 < argc) {
-      obs_linger_ms = std::stol(argv[++i]);
-    } else if (arg == "--recorder") {
-      recorder_on = true;
-    } else if (arg == "--recorder-capacity" && i + 1 < argc) {
-      recorder_on = true;
-      recorder_capacity = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--recorder-dump" && i + 1 < argc) {
-      recorder_on = true;
-      recorder_dump = argv[++i];
-    } else if (arg == "--trace-limit" && i + 1 < argc) {
-      trace_limit = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--slo" || arg == "--mode" || arg == "--emit" ||
-               arg == "--trace" || arg == "--deploy-threads" ||
-               arg == "--faults" || arg == "--retry" ||
-               arg == "--timeout-ms" || arg == "--rps" ||
-               arg == "--sweep" || arg == "--nodes" || arg == "--router" ||
-               arg == "--sim-threads" ||
-               arg == "--serve-obs" || arg == "--obs-linger-ms" ||
-               arg == "--recorder-capacity" || arg == "--recorder-dump" ||
-               arg == "--trace-limit") {
-      std::cerr << arg << " requires a value\n";
-      return 2;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 2;
     } else {
       std::ifstream in(arg);
       if (!in) {

@@ -1,11 +1,11 @@
 // Fixed-size thread pool for deterministic fan-out of independent work.
 //
-// The deploy path (PGP) issues many independent, CPU-bound evaluations —
-// per-stage partitioning and speculative outer-loop process counts — whose
-// results must be combined in a fixed order so the chosen plan is
-// bit-identical to the sequential search. The pool therefore exposes no
-// work stealing and no completion-order callbacks: callers submit tasks,
-// receive futures, and always consume results in submission (index) order.
+// The deploy path (PGP) evaluates speculative outer-loop process counts as
+// independent, CPU-bound tasks whose results must be combined in a fixed
+// order so the chosen plan is bit-identical to the sequential search. The
+// pool therefore exposes no work stealing and no completion-order
+// callbacks: callers submit tasks, receive futures, and always consume
+// results in submission (index) order.
 //
 // Nesting rule: pool tasks must never block on other tasks of the same
 // pool (classic thread-pool deadlock). `map()` enforces this structurally:

@@ -155,34 +155,29 @@ Deployment Chiron::deploy_internal(const Workflow& wf, TimeMs slo_ms,
   const Runtime runtime =
       wf.function_count() > 0 ? wf.function(0).runtime : Runtime::kPython3;
 
-  if (force_one_to_one) {
-    // Fallback: one sandbox per function, no sharing. Predict its latency
-    // honestly so callers can see what the retreat costs.
-    obs::ScopedSpan span(tracer, "one_to_one_fallback", "deploy");
-    Predictor predictor(
-        PredictorConfig{config_.params, runtime, config_.conservative_factor,
-                        config_.prediction_cache},
-        behaviors);
-    WrapPlan plan = one_to_one_plan(wf);
-    deployment.predicted_latency_ms = predictor.workflow_latency(plan);
-    deployment.slo_met = deployment.predicted_latency_ms <= slo_ms;
-    deployment.processes = plan.peak_stage_functions();
-    deployment.plan = std::move(plan);
-    predictor.publish_cache_metrics();
-  } else if (config_.mode == IsolationMode::kPool) {
-    // §4: pool workers give true parallelism with negligible startup, so
+  if (force_one_to_one || config_.mode == IsolationMode::kPool) {
+    // Fixed-shape plans, predicted honestly so callers see what they
+    // cost. The fallback is one sandbox per function, no sharing. Under
+    // §4's pool, workers give true parallelism with negligible startup, so
     // all functions share a single wrap; only the CPU allocation is tuned.
-    obs::ScopedSpan span(tracer, "pool_plan", "deploy");
+    obs::ScopedSpan span(
+        tracer, force_one_to_one ? "one_to_one_fallback" : "pool_plan",
+        "deploy");
     Predictor predictor(
         PredictorConfig{config_.params, runtime, config_.conservative_factor,
                         config_.prediction_cache},
         behaviors);
-    WrapPlan plan = pool_plan(wf);
-    // Same bounded give-back as PGP: CPU sharing may cost at most ~10 %
-    // latency relative to the fully-parallel pool.
-    const TimeMs uncapped = predictor.workflow_latency(plan);
-    const TimeMs target = std::min(slo_ms, uncapped * 1.10);
-    plan = PgpScheduler::with_min_cpus(predictor, std::move(plan), target);
+    WrapPlan plan;
+    if (force_one_to_one) {
+      plan = one_to_one_plan(wf);
+    } else {
+      // Same bounded give-back as PGP: CPU sharing may cost at most ~10 %
+      // latency relative to the fully-parallel pool.
+      plan = pool_plan(wf);
+      const TimeMs uncapped = predictor.workflow_latency(plan);
+      const TimeMs target = std::min(slo_ms, uncapped * 1.10);
+      plan = PgpScheduler::with_min_cpus(predictor, std::move(plan), target);
+    }
     deployment.predicted_latency_ms = predictor.workflow_latency(plan);
     deployment.slo_met = deployment.predicted_latency_ms <= slo_ms;
     deployment.processes = plan.peak_stage_functions();

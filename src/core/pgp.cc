@@ -67,119 +67,78 @@ std::vector<FunctionId> compute_conflicted(const Workflow& wf, StageId s) {
 // Incremental KL stage evaluation. Stage latency (Eq. 2) is a max over
 // wraps, and the search-phase wrap layout is a fixed function of the group
 // count — so a KL swap touching groups p and q only invalidates the (at
-// most two) wraps containing them. The evaluator freezes the layout
-// skeleton once, keeps the untouched wraps' latencies, and re-simulates
-// only the touched wraps per pair evaluation; combined with the
-// Predictor's group memoization, each eval costs two group simulations
-// instead of a full stage re-layout. Values are exactly those of
-// Predictor::stage_latency over layout_stage's output (parity tested).
+// most two) wraps containing them. The evaluator keeps layout_stage's
+// skeleton for the committed sets and each wrap's latency, and per pair
+// evaluation re-simulates only the touched wraps with the two groups
+// substituted; combined with the Predictor's group memoization, each eval
+// costs two group simulations instead of a full stage re-layout. The
+// offsets are the Predictor's own Eq. (2), so the values are exactly
+// Predictor::stage_latency of the substituted layout.
 class StageEvaluator {
  public:
+  /// `skeleton` is layout_stage's output for the first `group_count`
+  /// groups: their chunk wraps first, the conflicted singletons after.
   StageEvaluator(const Predictor& predictor, IsolationMode mode,
-                 const RuntimeParams& params,
-                 const std::vector<std::vector<FunctionId>>& sets,
-                 std::size_t wrap_count,
-                 const std::vector<FunctionId>& conflicted)
-      : predictor_(predictor), mode_(mode), params_(params), sets_(sets) {
-    const std::size_t k = sets.size();
-    const std::size_t w = std::max<std::size_t>(1, std::min(wrap_count, k));
-    // Balanced contiguous chunks, mirroring layout_stage.
-    wrap_of_.resize(k);
-    members_.resize(w);
-    const std::size_t base = k / w;
-    const std::size_t extra = k % w;
-    std::size_t next = 0;
-    for (std::size_t i = 0; i < w; ++i) {
-      const std::size_t take = base + (i < extra ? 1 : 0);
-      for (std::size_t j = 0; j < take; ++j) {
-        wrap_of_[next] = i;
-        members_[i].push_back(next);
-        ++next;
+                 StagePlan skeleton, std::size_t group_count)
+      : predictor_(predictor), mode_(mode), skeleton_(std::move(skeleton)) {
+    for (std::size_t w = 0; w < skeleton_.wraps.size(); ++w) {
+      for (std::size_t i = 0; i < skeleton_.wraps[w].process_count(); ++i) {
+        if (slot_.size() < group_count) slot_.push_back({w, i});
       }
     }
-    base_latency_.resize(w);
-    for (std::size_t i = 0; i < w; ++i) {
-      base_latency_[i] = wrap_latency(i, kNone, nullptr, kNone, nullptr);
-    }
-    // The stage's conflicted functions sit in fixed singleton wraps after
-    // the chunked ones; KL never touches them, so compute once.
-    conflicted_latency_.reserve(conflicted.size());
-    for (FunctionId f : conflicted) {
-      Wrap cw;
-      ProcessGroup g;
-      g.functions = {f};
-      g.mode = ExecMode::kThread;  // sole occupant of its sandbox
-      cw.processes.push_back(std::move(g));
-      conflicted_latency_.push_back(predictor_.wrap_latency(cw, mode_));
-    }
+    base_latency_.resize(skeleton_.wraps.size());
+    for (std::size_t w = 0; w < base_latency_.size(); ++w) rebase(w);
   }
 
-  /// Stage latency with sets[p] -> a and sets[q] -> b, everything else as
+  /// Stage latency with group p -> a and group q -> b, everything else as
   /// currently committed.
   TimeMs eval_pair(std::size_t p, std::size_t q,
                    const std::vector<FunctionId>& a,
                    const std::vector<FunctionId>& b) const {
     TimeMs stage = 0.0;
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      const TimeMs lat = (i == wrap_of_[p] || i == wrap_of_[q])
-                             ? wrap_latency(i, p, &a, q, &b)
-                             : base_latency_[i];
-      stage = std::max(stage, offset(i) + lat);
-    }
-    for (std::size_t c = 0; c < conflicted_latency_.size(); ++c) {
-      stage = std::max(stage,
-                       offset(members_.size() + c) + conflicted_latency_[c]);
+    for (std::size_t w = 0; w < skeleton_.wraps.size(); ++w) {
+      TimeMs lat = base_latency_[w];
+      if (w == slot_[p].wrap || w == slot_[q].wrap) {
+        Wrap wrap = skeleton_.wraps[w];
+        if (w == slot_[p].wrap) group(wrap, p).functions = a;
+        if (w == slot_[q].wrap) group(wrap, q).functions = b;
+        lat = predictor_.wrap_latency(wrap, mode_);
+      }
+      stage = std::max(stage, predictor_.wrap_offset(w) + lat);
     }
     return stage;
   }
 
-  /// Re-bases the wraps holding p and q after the caller committed new
-  /// contents for those groups.
-  void refresh(std::size_t p, std::size_t q) {
-    base_latency_[wrap_of_[p]] =
-        wrap_latency(wrap_of_[p], kNone, nullptr, kNone, nullptr);
-    if (wrap_of_[q] != wrap_of_[p]) {
-      base_latency_[wrap_of_[q]] =
-          wrap_latency(wrap_of_[q], kNone, nullptr, kNone, nullptr);
+  /// Writes the committed contents of groups p and q into the skeleton
+  /// and re-bases the wraps holding them.
+  void refresh(std::size_t p, std::size_t q,
+               const std::vector<std::vector<FunctionId>>& sets) {
+    for (std::size_t g : {p, q}) {
+      group(skeleton_.wraps[slot_[g].wrap], g).functions = sets[g];
     }
+    rebase(slot_[p].wrap);
+    if (slot_[q].wrap != slot_[p].wrap) rebase(slot_[q].wrap);
   }
 
  private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  struct Slot {
+    std::size_t wrap;
+    std::size_t process;
+  };
 
-  // Eq. (2) wrap arrival offsets, as in Predictor::stage_latency.
-  TimeMs offset(std::size_t wrap_index) const {
-    if (wrap_index == 0) return 0.0;
-    if (params_.decentralized_scheduling) return params_.rpc_ms;
-    return static_cast<TimeMs>(wrap_index - 1) * params_.inv_ms +
-           params_.rpc_ms;
+  ProcessGroup& group(Wrap& wrap, std::size_t g) const {
+    return wrap.processes[slot_[g].process];
   }
 
-  // Latency of chunk wrap `i`, with groups p/q optionally overridden.
-  TimeMs wrap_latency(std::size_t i, std::size_t p,
-                      const std::vector<FunctionId>* a, std::size_t q,
-                      const std::vector<FunctionId>* b) const {
-    Wrap wrap;
-    wrap.processes.reserve(members_[i].size());
-    for (std::size_t g : members_[i]) {
-      ProcessGroup pg;
-      pg.functions = g == p ? *a : g == q ? *b : sets_[g];
-      // Only group 0 rides the resident orchestrator (it always lands at
-      // wrap 0, slot 0 of the contiguous layout); the rest fork.
-      pg.mode = g == 0 ? ExecMode::kThread : ExecMode::kProcess;
-      wrap.processes.push_back(std::move(pg));
-    }
-    return predictor_.wrap_latency(wrap, mode_);
+  void rebase(std::size_t w) {
+    base_latency_[w] = predictor_.wrap_latency(skeleton_.wraps[w], mode_);
   }
 
   const Predictor& predictor_;
   const IsolationMode mode_;
-  const RuntimeParams& params_;
-  const std::vector<std::vector<FunctionId>>& sets_;
-  std::vector<std::size_t> wrap_of_;               // group -> chunk wrap
-  std::vector<std::vector<std::size_t>> members_;  // chunk wrap -> groups
-  std::vector<TimeMs> base_latency_;               // committed wrap latency
-  std::vector<TimeMs> conflicted_latency_;         // fixed singleton wraps
+  StagePlan skeleton_;
+  std::vector<Slot> slot_;            // group -> (wrap, process)
+  std::vector<TimeMs> base_latency_;  // committed latency of each wrap
 };
 
 }  // namespace
@@ -246,8 +205,9 @@ std::vector<ProcessGroup> PgpScheduler::partition_stage(
     // KL over every pair of process sets (Algorithm 2 lines 10-11). The
     // evaluator re-simulates only the wraps holding the swapped pair and
     // reuses every untouched group's latency (see StageEvaluator).
-    StageEvaluator evaluator(predictor_, config_.mode, config_.params, sets,
-                             search_wrap_count(k), conflicted);
+    StageEvaluator evaluator(
+        predictor_, config_.mode,
+        layout_stage(s, to_groups(sets), search_wrap_count(k)), k);
     for (std::size_t p = 0; p + 1 < sets.size(); ++p) {
       for (std::size_t q = p + 1; q < sets.size(); ++q) {
         PairLatencyEval eval = [&](const std::vector<FunctionId>& a,
@@ -259,7 +219,7 @@ std::vector<ProcessGroup> PgpScheduler::partition_stage(
         stats.kl_evaluations += kl.evaluations;
         sets[p] = std::move(kl.a);
         sets[q] = std::move(kl.b);
-        evaluator.refresh(p, q);
+        evaluator.refresh(p, q, sets);
       }
     }
   }
@@ -311,29 +271,10 @@ PgpScheduler::OuterOutcome PgpScheduler::evaluate_outer(std::size_t n) const {
                             "deploy", {{"n", static_cast<double>(n)}});
   OuterOutcome out;
   out.candidate.mode = config_.mode;
-  const std::size_t stages = wf_.stage_count();
-  struct StageResult {
-    std::vector<ProcessGroup> groups;
-    PgpStats stats;
-  };
-  // Per-stage partitions are independent (Algorithm 2 treats stages
-  // separately); fan them out when a pool is available. Each stage
-  // accumulates into its own PgpStats, merged below in stage order so the
-  // totals match the sequential run exactly.
-  auto per_stage =
-      ThreadPool::map(pool_.get(), stages, [&](std::size_t s) {
-        StageResult r;
-        r.groups = partition_stage(static_cast<StageId>(s), n, r.stats);
-        return r;
-      });
-  out.groups.resize(stages);
-  for (std::size_t s = 0; s < stages; ++s) {
-    out.groups[s] = std::move(per_stage[s].groups);
-    out.stats.kl_evaluations += per_stage[s].stats.kl_evaluations;
-    out.stats.predictor_calls += per_stage[s].stats.predictor_calls;
-    out.candidate.stages.push_back(
-        layout_stage(static_cast<StageId>(s), out.groups[s],
-                     search_wrap_count(out.groups[s].size())));
+  for (StageId s = 0; s < wf_.stage_count(); ++s) {
+    out.groups.push_back(partition_stage(s, n, out.stats));
+    out.candidate.stages.push_back(layout_stage(
+        s, out.groups.back(), search_wrap_count(out.groups.back().size())));
   }
   ++out.stats.predictor_calls;
   out.latency = predictor_.workflow_latency(out.candidate);

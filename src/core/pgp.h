@@ -46,10 +46,11 @@ struct PgpConfig {
   /// Faastlane+10 ms SLO of §6.2): resource savings come from threading,
   /// not from trading the whole SLO slack for time-sharing.
   double resource_slack = 0.10;
-  /// Deploy-path worker threads: independent per-stage partitions and
-  /// speculative outer-loop process counts evaluate concurrently, but the
-  /// committed plan is bit-identical to the sequential search (parity
-  /// tested). 0 = auto (hardware concurrency), 1 = fully sequential.
+  /// Deploy-path worker threads: speculative outer-loop process counts
+  /// evaluate concurrently (stages within one count run in a plain loop),
+  /// but the committed plan is bit-identical to the sequential search
+  /// (parity tested). 0 = auto (hardware concurrency), 1 = fully
+  /// sequential.
   std::size_t deploy_threads = 0;
   /// Memoize ProcessGroup simulations inside the Predictor (see
   /// prediction_cache.h); identical plans with the cache off.
@@ -120,8 +121,9 @@ class PgpScheduler {
                                             PgpStats& stats) const;
 
   /// Algorithm 2 lines 5-11 for one process count: partition every stage
-  /// (concurrently when a pool is available), lay the groups out with the
-  /// search-phase wrap count, and predict the workflow latency.
+  /// in turn, lay the groups out with the search-phase wrap count, and
+  /// predict the workflow latency. Runs on the calling thread; schedule()
+  /// fans whole process counts out across the pool.
   OuterOutcome evaluate_outer(std::size_t n) const;
 
   /// Lays out `groups` into `wrap_count` balanced wraps (plus singleton

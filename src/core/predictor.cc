@@ -239,19 +239,17 @@ TimeMs Predictor::wrap_latency(const Wrap& w, IsolationMode mode,
   return sim.run(tasks).makespan + ipc;
 }
 
+TimeMs Predictor::wrap_offset(std::size_t k) const {
+  const RuntimeParams& p = config_.params;
+  if (k == 0) return 0.0;
+  if (p.decentralized_scheduling) return p.rpc_ms;
+  return static_cast<TimeMs>(k - 1) * p.inv_ms + p.rpc_ms;
+}
+
 TimeMs Predictor::stage_latency(const StagePlan& sp, IsolationMode mode,
                                 std::size_t cpu_cap) const {
-  const RuntimeParams& p = config_.params;
   TimeMs stage = 0.0;
   for (std::size_t k = 0; k < sp.wraps.size(); ++k) {
-    // Eq. (2): wrap 0 starts immediately; wrap k is reached after k-1
-    // extra invocation overheads plus one network RPC. Decentralized
-    // scheduling (§7) removes the serial fan-out term.
-    const TimeMs offset =
-        k == 0 ? 0.0
-        : p.decentralized_scheduling
-            ? p.rpc_ms
-            : static_cast<TimeMs>(k - 1) * p.inv_ms + p.rpc_ms;
     // The CPU cap constrains the whole deployment; attribute it per wrap
     // proportionally to its process share (exact when there is one wrap).
     std::size_t wrap_cap = cpu_cap;
@@ -261,7 +259,8 @@ TimeMs Predictor::stage_latency(const StagePlan& sp, IsolationMode mode,
       wrap_cap = std::max<std::size_t>(
           1, cpu_cap * mine / std::max<std::size_t>(1, total));
     }
-    stage = std::max(stage, offset + wrap_latency(sp.wraps[k], mode, wrap_cap));
+    stage = std::max(stage, wrap_offset(k) +
+                                wrap_latency(sp.wraps[k], mode, wrap_cap));
   }
   return stage;
 }

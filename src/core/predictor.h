@@ -71,6 +71,11 @@ class Predictor {
   TimeMs wrap_latency(const Wrap& w, IsolationMode mode,
                       std::size_t cpu_cap = 0) const;
 
+  /// Eq. (2): arrival offset of a stage's wrap `k`. Wrap 0 starts at once;
+  /// wrap k is reached after k-1 invocation overheads plus one network RPC
+  /// (decentralized scheduling, §7, drops the serial term).
+  TimeMs wrap_offset(std::size_t k) const;
+
   /// Eq. (2): latency of one stage (applies cpu_cap if the plan sets one).
   TimeMs stage_latency(const StagePlan& sp, IsolationMode mode,
                        std::size_t cpu_cap = 0) const;

@@ -1,16 +1,24 @@
 #include "workflow/arrivals.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace chiron {
 
 ArrivalGenerator::ArrivalGenerator(ArrivalKind kind, double rate_rps, Rng rng)
     : kind_(kind), rate_rps_(rate_rps), rng_(rng) {
-  if (rate_rps <= 0.0) throw std::invalid_argument("rate must be positive");
+  // `!(rate > 0)` also catches NaN; an infinite rate would generate
+  // without bound.
+  if (!(rate_rps > 0.0) || !std::isfinite(rate_rps)) {
+    throw std::invalid_argument("rate must be positive and finite");
+  }
 }
 
 std::vector<TimeMs> ArrivalGenerator::generate(TimeMs horizon_ms) {
+  if (!(horizon_ms >= 0.0) || !std::isfinite(horizon_ms)) {
+    throw std::invalid_argument("horizon must be non-negative and finite");
+  }
   std::vector<TimeMs> arrivals;
   const TimeMs mean_gap = 1000.0 / rate_rps_;
   switch (kind_) {

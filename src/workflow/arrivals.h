@@ -16,10 +16,12 @@ enum class ArrivalKind { kPoisson, kUniform, kBurst };
 /// Generates request arrival timestamps over [0, horizon_ms).
 class ArrivalGenerator {
  public:
-  /// `rate_rps` is the mean arrival rate in requests/second.
+  /// `rate_rps` is the mean arrival rate in requests/second; throws
+  /// std::invalid_argument unless it is positive and finite.
   ArrivalGenerator(ArrivalKind kind, double rate_rps, Rng rng);
 
-  /// Produces sorted arrival times (ms) within [0, horizon_ms).
+  /// Produces sorted arrival times (ms) within [0, horizon_ms); throws
+  /// std::invalid_argument unless the horizon is non-negative and finite.
   std::vector<TimeMs> generate(TimeMs horizon_ms);
 
  private:

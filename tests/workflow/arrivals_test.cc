@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 namespace chiron {
 namespace {
@@ -10,6 +11,30 @@ namespace {
 TEST(ArrivalsTest, RejectsNonPositiveRate) {
   EXPECT_THROW(ArrivalGenerator(ArrivalKind::kPoisson, 0.0, Rng(1)),
                std::invalid_argument);
+}
+
+TEST(ArrivalsTest, RejectsNonFiniteRate) {
+  // An infinite rate made every generator loop without bound; NaN made
+  // Poisson and burst generate nothing and uniform never terminate.
+  for (double rate : {std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::quiet_NaN(), -5.0}) {
+    EXPECT_THROW(ArrivalGenerator(ArrivalKind::kUniform, rate, Rng(1)),
+                 std::invalid_argument)
+        << rate;
+  }
+}
+
+TEST(ArrivalsTest, RejectsNonFiniteOrNegativeHorizon) {
+  for (ArrivalKind kind :
+       {ArrivalKind::kPoisson, ArrivalKind::kUniform, ArrivalKind::kBurst}) {
+    ArrivalGenerator gen(kind, 50.0, Rng(1));
+    for (TimeMs horizon : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+      EXPECT_THROW(gen.generate(horizon), std::invalid_argument) << horizon;
+    }
+    EXPECT_TRUE(gen.generate(0.0).empty());
+  }
 }
 
 TEST(ArrivalsTest, PoissonRateIsApproximatelyRight) {
