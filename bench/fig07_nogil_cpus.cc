@@ -33,9 +33,10 @@ int main() {
   const auto behaviors = slapp_four();
 
   for (const char* engine : {"Python ProcessPoolExecutor", "Java threads"}) {
-    const TimeMs gap = std::string(engine) == "Java threads"
-                           ? params.java_thread_startup_ms
-                           : params.pool_dispatch_ms;
+    const Runtime runtime = std::string(engine) == "Java threads"
+                                ? Runtime::kJava
+                                : Runtime::kPython3;
+    const TimeMs gap = params.spawn_gap_ms(runtime, IsolationMode::kPool);
     std::cout << "\n--- " << engine << " ---\n";
     Table table({"CPUs", "mean", "p50", "p95", "max", "vs 4 CPUs"});
     double base_mean = 0.0;

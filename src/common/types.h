@@ -72,4 +72,10 @@ enum class IsolationMode : std::uint8_t {
 /// Human-readable isolation-mode name ("native"/"mpk"/"sfi"/"pool").
 std::string to_string(IsolationMode m);
 
+/// Whether a wrap's functions run truly in parallel (Java threads, or
+/// pre-forked pool workers) instead of sharing a GIL per process.
+constexpr bool true_parallel(Runtime rt, IsolationMode mode) {
+  return rt == Runtime::kJava || mode == IsolationMode::kPool;
+}
+
 }  // namespace chiron

@@ -13,12 +13,6 @@ namespace {
 
 constexpr std::size_t kUncapped = 1u << 20;
 
-double cpu_fraction(const FunctionBehavior& b) {
-  const TimeMs total = b.solo_latency();
-  if (total <= 0.0) return 1.0;
-  return b.total_cpu() / total;
-}
-
 }  // namespace
 
 FunctionBehavior effective_behavior(const InterleaveResult& result) {
@@ -64,51 +58,10 @@ Predictor::Predictor(PredictorConfig config,
   }
 }
 
-FunctionBehavior Predictor::behavior_for(FunctionId f, IsolationMode mode,
-                                         bool thread_context,
-                                         std::size_t co_resident) const {
-  const FunctionBehavior& base = profiles_.at(f);
-  if (!thread_context) return base;
-  FunctionBehavior b = base;
-  if (mode == IsolationMode::kMpk) {
-    b = b.with_cpu_overhead(
-        config_.params.mpk.exec_overhead(cpu_fraction(base)));
-  } else if (mode == IsolationMode::kSfi) {
-    b = b.with_cpu_overhead(
-        config_.params.sfi.exec_overhead(cpu_fraction(base)));
-  }
-  // GIL convoy / cache contention among co-resident threads (white-box
-  // model input; the ground truth adds a further unmodeled residual).
-  if (config_.runtime != Runtime::kJava && co_resident > 1) {
-    b = b.with_cpu_overhead(config_.params.thread_contention(co_resident) -
-                            1.0);
-  }
-  return b;
-}
-
-TimeMs Predictor::spawn_gap(IsolationMode mode) const {
-  const RuntimeParams& p = config_.params;
-  if (config_.runtime == Runtime::kJava) return p.java_thread_startup_ms;
-  // Node.js worker_threads pay >50 ms of startup per worker (§2.1) —
-  // pool dispatch is unaffected (workers are resident).
-  if (config_.runtime == Runtime::kNodeJs && mode != IsolationMode::kPool) {
-    return p.node_worker_startup_ms;
-  }
-  switch (mode) {
-    case IsolationMode::kNative: return p.thread_startup_ms;
-    case IsolationMode::kMpk: return p.thread_startup_ms + p.mpk.startup_ms;
-    case IsolationMode::kSfi: return p.thread_startup_ms + p.sfi.startup_ms;
-    case IsolationMode::kPool: return p.pool_dispatch_ms;
-  }
-  return p.thread_startup_ms;
-}
-
 InterleaveResult Predictor::run_exec(const std::vector<ThreadTask>& tasks,
                                      IsolationMode mode, std::size_t cpus,
                                      bool record_spans) const {
-  const bool true_parallel =
-      config_.runtime == Runtime::kJava || mode == IsolationMode::kPool;
-  if (true_parallel) {
+  if (true_parallel(config_.runtime, mode)) {
     CpuShareSimulator sim(cpus == 0 ? kUncapped : cpus, record_spans);
     return sim.run(tasks);
   }
@@ -119,7 +72,8 @@ InterleaveResult Predictor::run_exec(const std::vector<ThreadTask>& tasks,
 TimeMs Predictor::thread_exec(const std::vector<FunctionBehavior>& behaviors,
                               IsolationMode mode) const {
   if (behaviors.empty()) return 0.0;
-  const auto tasks = staggered_tasks(behaviors, spawn_gap(mode));
+  const auto tasks = staggered_tasks(
+      behaviors, config_.params.spawn_gap_ms(config_.runtime, mode));
   return run_exec(tasks, mode, 0, false).makespan;
 }
 
@@ -129,15 +83,20 @@ std::shared_ptr<const InterleaveResult> Predictor::group_exec(
   if (config_.enable_cache) {
     if (auto hit = cache_.lookup(key)) return hit;
   }
-  // Functions sharing a process run as threads (isolation overhead
-  // applies); a lone forked function is a plain process.
+  // Functions sharing a process run as threads (isolation overhead and
+  // GIL contention apply); a lone forked function is a plain process.
   const bool thread_context = g.mode == ExecMode::kThread || g.size() > 1;
   std::vector<FunctionBehavior> behaviors;
   behaviors.reserve(g.size());
   for (FunctionId f : g.functions) {
-    behaviors.push_back(behavior_for(f, mode, thread_context, g.size()));
+    behaviors.push_back(thread_context
+                            ? config_.params.thread_behavior(
+                                  profiles_.at(f), config_.runtime, mode,
+                                  g.size())
+                            : profiles_.at(f));
   }
-  const auto tasks = staggered_tasks(behaviors, spawn_gap(mode));
+  const auto tasks = staggered_tasks(
+      behaviors, config_.params.spawn_gap_ms(config_.runtime, mode));
   InterleaveResult result = run_exec(tasks, mode, 0, record_spans);
   if (config_.enable_cache) return cache_.insert(key, std::move(result));
   return std::make_shared<const InterleaveResult>(std::move(result));
@@ -162,15 +121,8 @@ TimeMs Predictor::process_latency(const ProcessGroup& g,
                                   std::size_t fork_index,
                                   IsolationMode mode) const {
   const RuntimeParams& p = config_.params;
-  TimeMs exec = group_exec(g, mode, false)->makespan;
-  // SFI-style isolation charges per thread interaction (Table 1); MPK has
-  // zero interaction cost.
-  if ((mode == IsolationMode::kSfi || mode == IsolationMode::kMpk) &&
-      g.size() > 1) {
-    const IsolationParams& iso =
-        mode == IsolationMode::kSfi ? p.sfi : p.mpk;
-    exec += iso.interaction_ms * static_cast<TimeMs>(g.size() - 1);
-  }
+  const TimeMs exec = group_exec(g, mode, false)->makespan +
+                      p.interaction_ms(mode, g.size());
   if (g.mode == ExecMode::kThread) {
     return exec;  // resident orchestrator process: no fork cost
   }
@@ -181,20 +133,16 @@ TimeMs Predictor::process_latency(const ProcessGroup& g,
 TimeMs Predictor::wrap_latency(const Wrap& w, IsolationMode mode,
                                std::size_t cpu_cap) const {
   const RuntimeParams& p = config_.params;
-  const bool true_parallel =
-      config_.runtime == Runtime::kJava || mode == IsolationMode::kPool;
 
-  if (true_parallel) {
+  if (true_parallel(config_.runtime, mode)) {
     // Pool workers / Java threads: all functions dispatch with a small
     // stagger and run truly parallel on the allocated cores.
     std::vector<FunctionBehavior> behaviors;
     for (const ProcessGroup& g : w.processes) {
-      for (FunctionId f : g.functions) {
-        behaviors.push_back(
-            behavior_for(f, mode, /*thread_context=*/false, /*co_resident=*/1));
-      }
+      for (FunctionId f : g.functions) behaviors.push_back(profiles_.at(f));
     }
-    const auto tasks = staggered_tasks(behaviors, spawn_gap(mode));
+    const auto tasks =
+        staggered_tasks(behaviors, p.spawn_gap_ms(config_.runtime, mode));
     const TimeMs exec = run_exec(tasks, mode, cpu_cap, false).makespan;
     // Pool workers exchange data over pipes; Java threads share memory.
     const TimeMs ipc = config_.runtime == Runtime::kJava
@@ -250,17 +198,9 @@ TimeMs Predictor::stage_latency(const StagePlan& sp, IsolationMode mode,
                                 std::size_t cpu_cap) const {
   TimeMs stage = 0.0;
   for (std::size_t k = 0; k < sp.wraps.size(); ++k) {
-    // The CPU cap constrains the whole deployment; attribute it per wrap
-    // proportionally to its process share (exact when there is one wrap).
-    std::size_t wrap_cap = cpu_cap;
-    if (cpu_cap > 0 && sp.wraps.size() > 1) {
-      const std::size_t total = sp.process_count();
-      const std::size_t mine = sp.wraps[k].process_count();
-      wrap_cap = std::max<std::size_t>(
-          1, cpu_cap * mine / std::max<std::size_t>(1, total));
-    }
     stage = std::max(stage, wrap_offset(k) +
-                                wrap_latency(sp.wraps[k], mode, wrap_cap));
+                                wrap_latency(sp.wraps[k], mode,
+                                             sp.wrap_cpu_cap(cpu_cap, k)));
   }
   return stage;
 }

@@ -102,15 +102,6 @@ class Predictor {
   void publish_cache_metrics() const;
 
  private:
-  /// Behaviour of `f` as executed under `mode` in a thread context
-  /// (isolation CPU overhead and co-resident-thread contention applied)
-  /// or process context (unmodified). `co_resident` counts the threads
-  /// sharing f's interpreter, including f.
-  FunctionBehavior behavior_for(FunctionId f, IsolationMode mode,
-                                bool thread_context,
-                                std::size_t co_resident) const;
-  /// Spawn gap between sibling threads under `mode`.
-  TimeMs spawn_gap(IsolationMode mode) const;
   /// Runs the right interleaving engine for this runtime/mode.
   InterleaveResult run_exec(const std::vector<ThreadTask>& tasks,
                             IsolationMode mode, std::size_t cpus,

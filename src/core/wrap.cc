@@ -33,6 +33,13 @@ std::size_t StagePlan::process_count() const {
   return n;
 }
 
+std::size_t StagePlan::wrap_cpu_cap(std::size_t cap, std::size_t k) const {
+  if (cap == 0 || wraps.size() <= 1) return cap;
+  return std::max<std::size_t>(
+      1, cap * wraps[k].process_count() /
+             std::max<std::size_t>(1, process_count()));
+}
+
 std::size_t WrapPlan::sandbox_count() const {
   std::size_t peak = 0;
   for (const StagePlan& s : stages) peak = std::max(peak, s.wrap_count());

@@ -52,6 +52,10 @@ struct StagePlan {
   std::size_t wrap_count() const { return wraps.size(); }
   std::size_t function_count() const;
   std::size_t process_count() const;
+  /// CPUs wrap `k` may use when the whole deployment is capped at `cap`
+  /// (0 = uncapped): the cap split by process share, at least one CPU,
+  /// exact when there is one wrap.
+  std::size_t wrap_cpu_cap(std::size_t cap, std::size_t k) const;
 };
 
 /// Complete deployment plan for a workflow.

@@ -134,11 +134,6 @@ void spin_for_ms(TimeMs ms) {
   }
 }
 
-namespace {
-
-// Spins for `ms` of CPU while holding `gil`, yielding at ~0.2 ms
-// checkpoints when the switch interval has elapsed and others wait.
-// Time spent without the GIL (inside yield) does not count as progress.
 void spin_with_gil(TimeMs ms, EmulatedGil& gil) {
   TimeMs done = 0.0;
   while (done < ms) {
@@ -148,6 +143,8 @@ void spin_with_gil(TimeMs ms, EmulatedGil& gil) {
     if (done < ms && gil.should_yield()) gil.yield();
   }
 }
+
+namespace {
 
 InterleaveResult execute(const std::vector<ThreadTask>& tasks,
                          EmulatedGil* gil, std::uint64_t request_id) {

@@ -40,6 +40,13 @@ double spin_iterations_per_ms();
 /// Busy-spins for approximately `ms` milliseconds.
 void spin_for_ms(TimeMs ms);
 
+class EmulatedGil;
+
+/// Spins for `ms` of CPU while holding `gil`, yielding at ~0.2 ms
+/// checkpoints when the switch interval has elapsed and others wait. Time
+/// spent without the GIL (inside yield) does not count as progress.
+void spin_with_gil(TimeMs ms, EmulatedGil& gil);
+
 /// Executes `tasks` as live threads sharing one emulated GIL with the
 /// given switch interval. Wall-clock spans are recorded per task.
 /// A non-zero `request_id` threads end-to-end causality through the live

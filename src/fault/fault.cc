@@ -1,6 +1,7 @@
 #include "fault/fault.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -54,19 +55,52 @@ TimeMs FaultInjector::retry_backoff_ms(const RetryPolicy& policy,
 
 namespace {
 
-double parse_prob(const std::string& key, const std::string& value) {
+// `value` as one finite number spanning the whole string (no leading
+// blanks, no trailing text).
+double parse_number(const std::string& what, const std::string& value) {
   std::size_t used = 0;
-  double p = 0.0;
-  try {
-    p = std::stod(value, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault spec: bad value for '" + key + "'");
+  double v = 0.0;
+  if (!value.empty() && !std::isspace(static_cast<unsigned char>(value[0]))) {
+    try {
+      v = std::stod(value, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
   }
-  if (used != value.size() || p < 0.0 || p > 1.0) {
+  if (used == 0 || used != value.size()) {
+    throw std::invalid_argument("fault spec: bad value for '" + what +
+                                "': '" + value + "'");
+  }
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument("fault spec: '" + what +
+                                "' must be finite, got '" + value + "'");
+  }
+  return v;
+}
+
+double parse_prob(const std::string& key, const std::string& value) {
+  const double p = parse_number(key, value);
+  if (p < 0.0 || p > 1.0) {
     throw std::invalid_argument("fault spec: '" + key +
-                                "' must be a probability in [0, 1]");
+                                "' must be a probability in [0, 1], got '" +
+                                value + "'");
   }
   return p;
+}
+
+std::uint64_t parse_seed(const std::string& value) {
+  const bool digits =
+      !value.empty() &&
+      std::all_of(value.begin(), value.end(), [](unsigned char c) {
+        return std::isdigit(c) != 0;
+      });
+  try {
+    if (digits) return std::stoull(value);
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument(
+      "fault spec: 'seed' must be a whole number in [0, 2^64), got '" + value +
+      "'");
 }
 
 }  // namespace
@@ -96,14 +130,12 @@ FaultSpec parse_fault_spec(const std::string& text) {
     } else if (key == "straggler") {
       const std::size_t x = value.find('x');
       if (x != std::string::npos) {
-        try {
-          spec.straggler_multiplier = std::stod(value.substr(x + 1));
-        } catch (const std::exception&) {
-          throw std::invalid_argument("fault spec: bad straggler multiplier");
-        }
+        const std::string mult = value.substr(x + 1);
+        spec.straggler_multiplier = parse_number("straggler multiplier", mult);
         if (spec.straggler_multiplier < 1.0) {
           throw std::invalid_argument(
-              "fault spec: straggler multiplier must be >= 1");
+              "fault spec: straggler multiplier must be >= 1, got '" + mult +
+              "'");
         }
         value.resize(x);
       }
@@ -113,11 +145,7 @@ FaultSpec parse_fault_spec(const std::string& text) {
     } else if (key == "node") {
       spec.node_crash = parse_prob(key, value);
     } else if (key == "seed") {
-      try {
-        spec.seed = std::stoull(value);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("fault spec: bad seed");
-      }
+      spec.seed = parse_seed(value);
     } else {
       throw std::invalid_argument("fault spec: unknown key '" + key + "'");
     }

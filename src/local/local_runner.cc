@@ -35,14 +35,7 @@ void run_behavior(const FunctionBehavior& behavior, double scale,
         gil.acquire();
         holding = true;
       }
-      TimeMs done = 0.0;
-      const TimeMs total = seg.duration * scale;
-      while (done < total) {
-        const TimeMs step = std::min<TimeMs>(0.2, total - done);
-        spin_for_ms(step);
-        done += step;
-        if (done < total && gil.should_yield()) gil.yield();
-      }
+      spin_with_gil(seg.duration * scale, gil);
     } else {
       if (holding) {
         gil.release();
@@ -126,6 +119,11 @@ LocalRunResult LocalDeployment::invoke(const Payload& input) {
           }
         }
 
+        // Sibling threads start one modelled spawn gap apart: thread
+        // clone plus the mode's isolation startup, or a pool dispatch.
+        const TimeMs spawn_gap = config_.params.spawn_gap_ms(
+            wf_.function(wrap.processes[0].functions[0]).runtime,
+            plan_.mode);
         std::vector<std::thread> fn_threads;
         std::mutex output_mu;
         Payload wrap_output;
@@ -144,8 +142,7 @@ LocalRunResult LocalDeployment::invoke(const Payload& input) {
             const FunctionId f = group.functions[t];
             const TimeMs thread_delay =
                 config_.emulate_overheads
-                    ? static_cast<TimeMs>(t) *
-                          config_.params.thread_startup_ms * scale
+                    ? static_cast<TimeMs>(t) * spawn_gap * scale
                     : 0.0;
             const std::size_t gil_index = gil_of[g][t];
             fn_threads.emplace_back([&, f, gil_index, group_delay,

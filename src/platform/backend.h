@@ -4,12 +4,15 @@
 // one request and reports the resources the deployment holds.
 //
 // Backends are the reproduction's ground truth: they run the same
-// interleaving engines as the Predictor but on the true behaviours, with
-// run-to-run jitter and thread-contention effects the white-box Predictor
-// does not know about — so prediction error (Fig. 12) is an honest
-// measurement, not a tautology.
+// interleaving engines and read the same RuntimeParams cost model as the
+// Predictor, on the true behaviours. The only model gaps are the
+// NoiseConfig terms below — per-duration jitter, the whole-run load
+// factor, residual thread contention, the GIL handoff cost, fork and
+// invocation skew, and injected faults — so prediction error (Fig. 12) is
+// an honest measurement of exactly those, not a tautology.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,6 +46,9 @@ struct RunResult {
   /// Billable state transitions (ASF charges these, Fig. 19); zero for
   /// self-hosted platforms.
   std::size_t state_transitions = 0;
+
+  /// Multiplies every latency and timeline instant by `factor`.
+  void scale(double factor);
 };
 
 /// Simulation noise configuration shared by all backends.
@@ -76,6 +82,25 @@ struct NoiseConfig {
   /// storage/RPC hop. Crashes are attempt-level events recovered by the
   /// ClusterSimulator's retry policy, not modeled here.
   const FaultInjector* faults = nullptr;
+
+  /// `value` with one independent jitter draw applied.
+  TimeMs jit(TimeMs value, Rng& rng) const {
+    return jitter_sigma > 0.0 ? value * rng.jitter(jitter_sigma) : value;
+  }
+  /// Dilation of the `k`-th sequential fork or invocation.
+  double skew(std::size_t k) const {
+    return 1.0 + std::min(0.25, model_skew * static_cast<double>(k) / 2.0);
+  }
+  /// One request's correlated load factor.
+  double run_scale(Rng& rng) const {
+    return run_sigma > 0.0 ? rng.jitter(run_sigma) : 1.0;
+  }
+  /// Execution dilation of one instance: the straggler multiplier when an
+  /// injected straggler fault fires, else 1.
+  double straggle(Rng& rng) const;
+  /// `latency` of one storage/RPC hop, plus the transparent retry when an
+  /// injected transfer error fires.
+  TimeMs transfer(TimeMs latency, Rng& rng) const;
 };
 
 /// Increments chiron.fault.injected[.<kind>] on the global

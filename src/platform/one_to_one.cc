@@ -21,27 +21,9 @@ TimeMs OneToOneBackend::scheduling_ms(std::size_t fan_out) const {
                                      : params_.openfaas_scheduling_ms(fan_out);
 }
 
-TimeMs OneToOneBackend::jit(TimeMs value, Rng& rng) const {
-  if (noise_.jitter_sigma <= 0.0) return value;
-  return value * rng.jitter(noise_.jitter_sigma);
-}
-
 RunResult OneToOneBackend::run(Rng& rng) const {
   RunResult result;
-  const double run_scale =
-      noise_.run_sigma > 0.0 ? rng.jitter(noise_.run_sigma) : 1.0;
-  const FaultInjector* faults =
-      noise_.faults && noise_.faults->enabled() ? noise_.faults : nullptr;
-  // Transient storage error on one transfer: the client library retries
-  // transparently at a fixed latency cost.
-  auto transfer_fault = [&](TimeMs latency) -> TimeMs {
-    if (faults && faults->spec().transfer_error > 0.0 &&
-        rng.uniform() < faults->spec().transfer_error) {
-      note_backend_fault(FaultKind::kTransfer);
-      return latency + faults->spec().transfer_retry_ms;
-    }
-    return latency;
-  };
+  const double run_scale = noise_.run_scale(rng);
   TimeMs t = 0.0;
   Bytes upstream_bytes = 0;       // intermediate data the stage must pull
   std::size_t upstream_objects = 0;  // one stored object per predecessor
@@ -49,18 +31,21 @@ RunResult OneToOneBackend::run(Rng& rng) const {
   for (StageId s = 0; s < wf_.stage_count(); ++s) {
     const Stage& stage = wf_.stage(s);
     const std::size_t n = stage.parallelism();
-    const TimeMs sched_total = jit(scheduling_ms(n), rng);
+    const TimeMs sched_total = noise_.jit(scheduling_ms(n), rng);
     // The entry stage receives its payload with the invocation; later
     // stages pull their predecessors' outputs from storage. Fan-in means
     // one GET per predecessor object; requests overlap only partially
-    // (~50 %), so wide fan-ins pay repeatedly (Obs. 1).
+    // (~50 %), so wide fan-ins pay repeatedly (Obs. 1). A transient
+    // storage error on a transfer is retried transparently by the client
+    // library at a fixed latency cost.
     TimeMs pull = 0.0;
     if (s > 0 && upstream_objects > 0) {
       const Bytes avg_obj = upstream_bytes / upstream_objects;
       const double effective_requests =
           1.0 + 0.5 * static_cast<double>(upstream_objects - 1);
-      pull = transfer_fault(
-          jit(transfer_.latency_ms(avg_obj) * effective_requests, rng));
+      pull = noise_.transfer(
+          noise_.jit(transfer_.latency_ms(avg_obj) * effective_requests, rng),
+          rng);
     }
 
     TimeMs stage_latency = 0.0;
@@ -71,15 +56,10 @@ RunResult OneToOneBackend::run(Rng& rng) const {
       // Dispatches ramp linearly across the scheduling window.
       const TimeMs dispatch =
           sched_total * static_cast<TimeMs>(k + 1) / static_cast<TimeMs>(n);
-      const TimeMs invoke = jit(params_.sandbox_invoke_ms, rng);
+      const TimeMs invoke = noise_.jit(params_.sandbox_invoke_ms, rng);
       // One-to-one: each function has its own sandbox, so a straggling
       // instance dilates only that function.
-      double straggle = 1.0;
-      if (faults && faults->spec().straggler > 0.0 &&
-          rng.uniform() < faults->spec().straggler) {
-        straggle = faults->spec().straggler_multiplier;
-        note_backend_fault(FaultKind::kStraggler);
-      }
+      const double straggle = noise_.straggle(rng);
       TimeMs exec = 0.0;
       FunctionTimeline tl;
       tl.id = f;
@@ -90,7 +70,7 @@ RunResult OneToOneBackend::run(Rng& rng) const {
         // behaviour directly.
         TimeMs cursor = tl.start_exec_ms;
         for (const Segment& seg : spec.behavior.segments()) {
-          const TimeMs d = jit(seg.duration, rng) * straggle;
+          const TimeMs d = noise_.jit(seg.duration, rng) * straggle;
           tl.spans.push_back({seg.kind == Segment::Kind::kCpu
                                   ? TimelineSpan::Kind::kCpu
                                   : TimelineSpan::Kind::kBlock,
@@ -102,8 +82,9 @@ RunResult OneToOneBackend::run(Rng& rng) const {
       // Results of non-final stages are pushed to storage for successors.
       const TimeMs push =
           s + 1 < wf_.stage_count()
-              ? transfer_fault(
-                    jit(transfer_.latency_ms(spec.output_bytes), rng))
+              ? noise_.transfer(
+                    noise_.jit(transfer_.latency_ms(spec.output_bytes), rng),
+                    rng)
               : 0.0;
       tl.finish_ms = tl.start_exec_ms + exec + push;
       stage_latency = std::max(stage_latency, tl.finish_ms - t);
@@ -116,20 +97,8 @@ RunResult OneToOneBackend::run(Rng& rng) const {
     upstream_objects = n;
   }
 
-  if (run_scale != 1.0) {
-    t *= run_scale;
-    for (TimeMs& s : result.stage_latency_ms) s *= run_scale;
-    for (FunctionTimeline& tl : result.functions) {
-      tl.invoke_ms *= run_scale;
-      tl.start_exec_ms *= run_scale;
-      tl.finish_ms *= run_scale;
-      for (TimelineSpan& span : tl.spans) {
-        span.begin *= run_scale;
-        span.end *= run_scale;
-      }
-    }
-  }
   result.e2e_latency_ms = t;
+  result.scale(run_scale);
   // ASF bills one transition into and out of every state (Fig. 19).
   result.state_transitions =
       kind_ == OneToOneKind::kAsf ? wf_.function_count() + wf_.stage_count() + 1

@@ -31,7 +31,6 @@ class OneToOneBackend : public Backend {
 
  private:
   TimeMs scheduling_ms(std::size_t fan_out) const;
-  TimeMs jit(TimeMs value, Rng& rng) const;
 
   OneToOneKind kind_;
   RuntimeParams params_;

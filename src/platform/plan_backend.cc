@@ -11,11 +11,6 @@ namespace {
 
 constexpr std::size_t kUncapped = 1u << 20;
 
-double cpu_fraction(const FunctionBehavior& b) {
-  const TimeMs total = b.solo_latency();
-  return total <= 0.0 ? 1.0 : b.total_cpu() / total;
-}
-
 void shift_spans(std::vector<TimelineSpan>& spans, TimeMs by) {
   for (TimelineSpan& s : spans) {
     s.begin += by;
@@ -37,77 +32,45 @@ WrapPlanBackend::WrapPlanBackend(std::string name, RuntimeParams params,
   plan_.validate(wf_);
 }
 
-TimeMs WrapPlanBackend::jit(TimeMs value, Rng& rng) const {
-  if (noise_.jitter_sigma <= 0.0) return value;
-  return value * rng.jitter(noise_.jitter_sigma);
-}
-
-bool WrapPlanBackend::true_parallel() const {
-  return runtime_ == Runtime::kJava || plan_.mode == IsolationMode::kPool;
-}
-
-TimeMs WrapPlanBackend::spawn_gap() const {
-  if (runtime_ == Runtime::kJava) return params_.java_thread_startup_ms;
-  // Node.js worker_threads pay >50 ms of startup per worker (§2.1).
-  if (runtime_ == Runtime::kNodeJs && plan_.mode != IsolationMode::kPool) {
-    return params_.node_worker_startup_ms;
-  }
-  switch (plan_.mode) {
-    case IsolationMode::kNative: return params_.thread_startup_ms;
-    case IsolationMode::kMpk:
-      return params_.thread_startup_ms + params_.mpk.startup_ms;
-    case IsolationMode::kSfi:
-      return params_.thread_startup_ms + params_.sfi.startup_ms;
-    case IsolationMode::kPool: return params_.pool_dispatch_ms;
-  }
-  return params_.thread_startup_ms;
-}
-
 FunctionBehavior WrapPlanBackend::runtime_behavior(FunctionId f,
                                                    bool thread_context,
                                                    std::size_t co_resident,
                                                    Rng& rng) const {
   FunctionBehavior b = wf_.function(f).behavior;
   if (thread_context) {
-    if (plan_.mode == IsolationMode::kMpk) {
-      b = b.with_cpu_overhead(params_.mpk.exec_overhead(cpu_fraction(b)));
-    } else if (plan_.mode == IsolationMode::kSfi) {
-      b = b.with_cpu_overhead(params_.sfi.exec_overhead(cpu_fraction(b)));
-    }
-    if (runtime_ != Runtime::kJava && co_resident > 1) {
-      // Modeled GIL convoy/contention plus an unmodeled residual the
-      // Predictor does not see.
-      b = b.with_cpu_overhead(params_.thread_contention(co_resident) - 1.0);
-      if (noise_.thread_contention > 0.0) {
-        b = b.with_cpu_overhead(noise_.thread_contention *
-                                static_cast<double>(co_resident - 1));
-      }
+    b = params_.thread_behavior(std::move(b), runtime_, plan_.mode,
+                                co_resident);
+    // Contention residual the Predictor does not see.
+    if (has_gil(runtime_) && co_resident > 1 &&
+        noise_.thread_contention > 0.0) {
+      b = b.with_cpu_overhead(noise_.thread_contention *
+                              static_cast<double>(co_resident - 1));
     }
   }
   if (noise_.jitter_sigma > 0.0) {
     std::vector<Segment> segs = b.segments();
-    for (Segment& s : segs) s.duration *= rng.jitter(noise_.jitter_sigma);
+    for (Segment& s : segs) s.duration = noise_.jit(s.duration, rng);
     b = FunctionBehavior(std::move(segs));
   }
   return b;
 }
 
-WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(const Wrap& w,
-                                                            Rng& rng) const {
+WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
+    const Wrap& w, std::size_t cap, Rng& rng) const {
   WrapOutcome outcome;
-  const std::size_t cap = plan_.cpu_cap;
 
-  if (true_parallel()) {
+  const TimeMs gap = params_.spawn_gap_ms(runtime_, plan_.mode);
+  if (true_parallel(runtime_, plan_.mode)) {
     // Pool workers / Java threads: one flat true-parallel dispatch.
     std::vector<ThreadTask> tasks;
     std::vector<FunctionId> ids;
-    const TimeMs gap = spawn_gap();
     for (const ProcessGroup& g : w.processes) {
       for (FunctionId f : g.functions) {
         ThreadTask task;
         task.behavior = runtime_behavior(f, /*thread_context=*/false,
                                          /*co_resident=*/1, rng);
-        task.ready_ms = static_cast<TimeMs>(ids.size()) * jit(gap, rng);
+        task.ready_ms =
+            static_cast<TimeMs>(ids.size()) * noise_.jit(gap, rng);
         ids.push_back(f);
         tasks.push_back(std::move(task));
       }
@@ -116,7 +79,8 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(const Wrap& w,
     InterleaveResult result = sim.run(tasks);
     TimeMs ipc = 0.0;
     if (runtime_ != Runtime::kJava && ids.size() > 1) {
-      ipc = static_cast<TimeMs>(ids.size() - 1) * jit(params_.ipc_pipe_ms, rng);
+      ipc = static_cast<TimeMs>(ids.size() - 1) *
+            noise_.jit(params_.ipc_pipe_ms, rng);
     }
     outcome.latency = result.makespan + ipc;
     for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -140,7 +104,6 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(const Wrap& w,
   };
   std::vector<GroupRun> runs;
   std::size_t fork_index = 0;
-  const TimeMs gap = spawn_gap();
   for (const ProcessGroup& g : w.processes) {
     const bool thread_context = g.mode == ExecMode::kThread || g.size() > 1;
     std::vector<ThreadTask> tasks;
@@ -148,7 +111,7 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(const Wrap& w,
       ThreadTask task;
       task.behavior =
           runtime_behavior(g.functions[i], thread_context, g.size(), rng);
-      task.ready_ms = static_cast<TimeMs>(i) * jit(gap, rng);
+      task.ready_ms = static_cast<TimeMs>(i) * noise_.jit(gap, rng);
       tasks.push_back(std::move(task));
     }
     GroupRun run;
@@ -157,31 +120,24 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(const Wrap& w,
       run.base = 0.0;  // resident orchestrator
     } else {
       // Superlinear queue-pressure skew the Predictor does not model.
-      const double skew =
-          1.0 + std::min(0.25, noise_.model_skew *
-                                   static_cast<double>(fork_index) / 2.0);
       run.base = static_cast<TimeMs>(fork_index) *
-                     jit(params_.process_block_ms * skew, rng) +
-                 jit(params_.process_startup_ms, rng);
+                     noise_.jit(params_.process_block_ms *
+                                    noise_.skew(fork_index),
+                                rng) +
+                 noise_.jit(params_.process_startup_ms, rng);
       ++fork_index;
     }
     GilSimulator sim(params_.gil_switch_interval_ms, /*record_spans=*/true,
                      noise_.gil_handoff_ms);
     run.result = sim.run(tasks);
-    run.exec = run.result.makespan;
-    if ((plan_.mode == IsolationMode::kSfi ||
-         plan_.mode == IsolationMode::kMpk) &&
-        g.size() > 1) {
-      const IsolationParams& iso =
-          plan_.mode == IsolationMode::kSfi ? params_.sfi : params_.mpk;
-      run.exec += iso.interaction_ms * static_cast<TimeMs>(g.size() - 1);
-    }
+    run.exec = run.result.makespan +
+               params_.interaction_ms(plan_.mode, g.size());
     runs.push_back(std::move(run));
   }
 
   const std::size_t nproc = w.process_count();
   const TimeMs ipc = nproc > 1 ? static_cast<TimeMs>(nproc - 1) *
-                                     jit(params_.ipc_pipe_ms, rng)
+                                     noise_.jit(params_.ipc_pipe_ms, rng)
                                : 0.0;
   TimeMs uncapped = 0.0;
   for (const GroupRun& r : runs) {
@@ -233,41 +189,29 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(const Wrap& w,
 
 RunResult WrapPlanBackend::run(Rng& rng) const {
   RunResult result;
-  // Whole-run load factor: one correlated multiplier per request.
-  double run_scale =
-      noise_.run_sigma > 0.0 ? rng.jitter(noise_.run_sigma) : 1.0;
-  // Injected straggler: one instance serves the whole wrap deployment, so
-  // a straggling instance dilates the entire request.
-  const FaultInjector* faults =
-      noise_.faults && noise_.faults->enabled() ? noise_.faults : nullptr;
-  if (faults && faults->spec().straggler > 0.0 &&
-      rng.uniform() < faults->spec().straggler) {
-    run_scale *= faults->spec().straggler_multiplier;
-    note_backend_fault(FaultKind::kStraggler);
-  }
+  // Whole-run load factor: one correlated multiplier per request. One
+  // instance serves the whole wrap deployment, so a straggling instance
+  // dilates the entire request.
+  double run_scale = noise_.run_scale(rng);
+  run_scale *= noise_.straggle(rng);
   TimeMs t = 0.0;
   for (const StagePlan& sp : plan_.stages) {
     TimeMs stage_latency = 0.0;
     for (std::size_t k = 0; k < sp.wraps.size(); ++k) {
-      const double skew =
-          1.0 +
-          std::min(0.25, noise_.model_skew * static_cast<double>(k) / 2.0);
       TimeMs offset = 0.0;
       if (k > 0) {
         offset = params_.decentralized_scheduling
-                     ? jit(params_.rpc_ms, rng)
+                     ? noise_.jit(params_.rpc_ms, rng)
                      : static_cast<TimeMs>(k - 1) *
-                               jit(params_.inv_ms * skew, rng) +
-                           jit(params_.rpc_ms, rng);
+                               noise_.jit(params_.inv_ms * noise_.skew(k),
+                                          rng) +
+                           noise_.jit(params_.rpc_ms, rng);
         // Transient RPC/payload error on this wrap invocation: the
         // storage layer retries transparently at a fixed latency cost.
-        if (faults && faults->spec().transfer_error > 0.0 &&
-            rng.uniform() < faults->spec().transfer_error) {
-          offset += faults->spec().transfer_retry_ms;
-          note_backend_fault(FaultKind::kTransfer);
-        }
+        offset = noise_.transfer(offset, rng);
       }
-      WrapOutcome outcome = simulate_wrap(sp.wraps[k], rng);
+      WrapOutcome outcome =
+          simulate_wrap(sp.wraps[k], sp.wrap_cpu_cap(plan_.cpu_cap, k), rng);
       stage_latency = std::max(stage_latency, offset + outcome.latency);
       for (FunctionTimeline& tl : outcome.functions) {
         tl.invoke_ms += t + offset;
@@ -280,21 +224,8 @@ RunResult WrapPlanBackend::run(Rng& rng) const {
     result.stage_latency_ms.push_back(stage_latency);
     t += stage_latency;
   }
-  if (run_scale != 1.0) {
-    t *= run_scale;
-    for (TimeMs& s : result.stage_latency_ms) s *= run_scale;
-    for (FunctionTimeline& tl : result.functions) {
-      tl.invoke_ms *= run_scale;
-      tl.start_exec_ms *= run_scale;
-      tl.finish_ms *= run_scale;
-      for (TimelineSpan& span : tl.spans) {
-        span.begin *= run_scale;
-        span.end *= run_scale;
-      }
-    }
-  }
   result.e2e_latency_ms = t;
-  result.state_transitions = 0;
+  result.scale(run_scale);
   return result;
 }
 

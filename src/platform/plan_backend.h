@@ -8,10 +8,13 @@
 //   Faastlane+   = faastlane_plus_plan, native
 //   Chiron       = PGP plan,         native      (-M: mpk, -P: pool)
 //
-// Ground truth differs from the Predictor in three ways: log-normal jitter
-// on every duration, CPU dilation for co-resident threads (cache and
-// allocator contention), and per-run re-sampling — giving Fig. 12/14 real
-// error to measure.
+// The backend reads the Predictor's cost model (RuntimeParams spawn gaps,
+// thread overheads, interaction charges, StagePlan::wrap_cpu_cap) and
+// differs from it only by its NoiseConfig: log-normal jitter on every
+// duration, a whole-run load factor, residual contention among
+// co-resident threads, the GIL handoff cost, superlinear fork and
+// invocation skew, and injected faults — giving Fig. 12/14 real error to
+// measure. With a zero NoiseConfig its e2e latency equals the Predictor's.
 #pragma once
 
 #include "core/wrap.h"
@@ -38,17 +41,15 @@ class WrapPlanBackend : public Backend {
     std::vector<FunctionTimeline> functions;  ///< wrap-local times
   };
 
-  /// Simulates one wrap; times are relative to the wrap's own start.
-  WrapOutcome simulate_wrap(const Wrap& w, Rng& rng) const;
+  /// Simulates one wrap on `cap` CPUs (0 = uncapped); times are relative
+  /// to the wrap's own start.
+  WrapOutcome simulate_wrap(const Wrap& w, std::size_t cap, Rng& rng) const;
 
-  /// True behaviour of `f` as it executes in this run: isolation overhead
-  /// (thread context), co-resident-thread contention, per-segment jitter.
+  /// True behaviour of `f` as it executes in this run: the modelled
+  /// thread overheads (thread context), the residual contention, and
+  /// per-segment jitter.
   FunctionBehavior runtime_behavior(FunctionId f, bool thread_context,
                                     std::size_t co_resident, Rng& rng) const;
-
-  TimeMs jit(TimeMs value, Rng& rng) const;
-  TimeMs spawn_gap() const;
-  bool true_parallel() const;
 
   std::string name_;
   RuntimeParams params_;

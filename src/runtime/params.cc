@@ -38,6 +38,48 @@ TimeMs RuntimeParams::openfaas_scheduling_ms(std::size_t n) const {
   return std::max(0.3 * nn, fit);
 }
 
+TimeMs RuntimeParams::spawn_gap_ms(Runtime rt, IsolationMode mode) const {
+  if (rt == Runtime::kJava) return java_thread_startup_ms;
+  // Node.js worker_threads pay >50 ms of startup per worker (§2.1) —
+  // pool dispatch is unaffected (workers are resident).
+  if (rt == Runtime::kNodeJs && mode != IsolationMode::kPool) {
+    return node_worker_startup_ms;
+  }
+  switch (mode) {
+    case IsolationMode::kNative: return thread_startup_ms;
+    case IsolationMode::kMpk: return thread_startup_ms + mpk.startup_ms;
+    case IsolationMode::kSfi: return thread_startup_ms + sfi.startup_ms;
+    case IsolationMode::kPool: return pool_dispatch_ms;
+  }
+  return thread_startup_ms;
+}
+
+FunctionBehavior RuntimeParams::thread_behavior(FunctionBehavior b,
+                                                Runtime rt,
+                                                IsolationMode mode,
+                                                std::size_t co_resident) const {
+  if (mode == IsolationMode::kMpk || mode == IsolationMode::kSfi) {
+    const IsolationParams& iso = mode == IsolationMode::kMpk ? mpk : sfi;
+    const TimeMs total = b.solo_latency();
+    const double cpu_fraction = total <= 0.0 ? 1.0 : b.total_cpu() / total;
+    b = b.with_cpu_overhead(iso.exec_overhead(cpu_fraction));
+  }
+  // GIL convoy / cache contention among co-resident threads.
+  if (has_gil(rt) && co_resident > 1) {
+    b = b.with_cpu_overhead(thread_contention(co_resident) - 1.0);
+  }
+  return b;
+}
+
+TimeMs RuntimeParams::interaction_ms(IsolationMode mode,
+                                     std::size_t group_size) const {
+  if (group_size <= 1) return 0.0;
+  const TimeMs per = mode == IsolationMode::kSfi   ? sfi.interaction_ms
+                     : mode == IsolationMode::kMpk ? mpk.interaction_ms
+                                                   : 0.0;
+  return per * static_cast<TimeMs>(group_size - 1);
+}
+
 const RuntimeParams& RuntimeParams::defaults() {
   static const RuntimeParams params{};
   return params;

@@ -1,11 +1,15 @@
 // RuntimeParams: every calibrated constant of the reproduction in one
-// place. Each value cites the paper measurement it reproduces; benches and
-// tests share the same defaults so the whole evaluation is consistent.
+// place, and the cost-model rules that read them (spawn gaps, thread
+// overheads, isolation interactions). Each value cites the paper
+// measurement it reproduces; the Predictor, the ground-truth backends,
+// benches and tests all read the same rules, so the only gap between the
+// model and the ground truth is the backends' NoiseConfig.
 #pragma once
 
 #include <cstddef>
 
 #include "common/types.h"
+#include "workflow/behavior.h"
 
 namespace chiron {
 
@@ -44,7 +48,7 @@ struct RuntimeParams {
   TimeMs thread_startup_ms = 0.3;
   /// Java thread startup (true parallelism, Fig. 18).
   TimeMs java_thread_startup_ms = 0.15;
-  /// Node.js worker_threads startup (> 50 ms, §2.1); for reference only.
+  /// Node.js worker_threads startup (> 50 ms, §2.1).
   TimeMs node_worker_startup_ms = 50.0;
 
   // --- Processes ------------------------------------------------------
@@ -123,6 +127,19 @@ struct RuntimeParams {
   /// -out cost fitted through (5,2) (25,70) (50,180) ms.
   TimeMs asf_scheduling_ms(std::size_t n) const;
   TimeMs openfaas_scheduling_ms(std::size_t n) const;
+
+  // --- Cost model shared by the Predictor and the backends ------------
+  /// Gap between the starts of sibling threads (or pool dispatches) of one
+  /// process: thread clone plus the mode's per-function isolation startup.
+  TimeMs spawn_gap_ms(Runtime rt, IsolationMode mode) const;
+  /// `b` as it runs in a thread shared by `co_resident` threads (itself
+  /// included): the Table 1 exec overhead of `mode`, then GIL contention.
+  FunctionBehavior thread_behavior(FunctionBehavior b, Runtime rt,
+                                   IsolationMode mode,
+                                   std::size_t co_resident) const;
+  /// Per-interaction charge of a process hosting `group_size` threads
+  /// under `mode` (SFI and MPK, Table 1).
+  TimeMs interaction_ms(IsolationMode mode, std::size_t group_size) const;
 
   /// The default parameter set used across tests and benches.
   static const RuntimeParams& defaults();

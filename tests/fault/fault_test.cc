@@ -150,6 +150,28 @@ TEST(FaultSpecTest, ParseRejectsMalformedInput) {
   EXPECT_THROW(parse_fault_spec("cold=-0.1"), std::invalid_argument);
 }
 
+TEST(FaultSpecTest, ParseRejectsNonFiniteAndPartialValues) {
+  for (const char* bad :
+       {"straggler=0.5xnan", "straggler=0.5xinf", "straggler=0.5x4junk",
+        "straggler=0.5x", "cold=nan", "transfer=inf", "crash=0.1@nan",
+        "node=-nan", "cold=", "cold= 0.1", "cold=0.1 ", "cold=1e999",
+        "seed=-1", "seed=+7", "seed=7abc", "seed= 7", "seed=",
+        "seed=18446744073709551616"}) {
+    EXPECT_THROW(parse_fault_spec(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(FaultSpecTest, ParseAcceptsBoundaryValues) {
+  const FaultSpec spec = parse_fault_spec(
+      "cold=0,crash=1@0,straggler=1e-3x1,seed=18446744073709551615");
+  EXPECT_EQ(spec.cold_start_failure, 0.0);
+  EXPECT_EQ(spec.crash, 1.0);
+  EXPECT_EQ(spec.crash_point, 0.0);
+  EXPECT_EQ(spec.straggler, 1e-3);
+  EXPECT_EQ(spec.straggler_multiplier, 1.0);
+  EXPECT_EQ(spec.seed, 18446744073709551615ull);
+}
+
 TEST(FaultSpecTest, ToStringOmitsDisabledKinds) {
   FaultSpec spec;
   spec.crash = 0.25;

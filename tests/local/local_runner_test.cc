@@ -158,6 +158,30 @@ TEST(LocalRunnerTest, PoolModeGivesEachFunctionItsOwnInterpreter) {
   EXPECT_LT(result.e2e_latency_ms, 45.0);
 }
 
+TEST(LocalRunnerTest, SiblingThreadsStartOneModelledSpawnGapApart) {
+  // An MPK plan pays the thread clone plus the protection-key setup per
+  // sibling thread. Sleeps guarantee only a lower bound on the start.
+  std::vector<FunctionSpec> fns(2);
+  fns[0].name = "first";
+  fns[1].name = "second";
+  for (FunctionSpec& f : fns) f.behavior = cpu_bound(1.0);
+  const Workflow wf("pair", std::move(fns), {{{0, 1}}});
+  WrapPlan plan = faastlane_t_plan(wf);
+  plan.mode = IsolationMode::kMpk;
+  LocalConfig config;
+  config.params.mpk.startup_ms = 20.0;
+  LocalDeployment deployment(wf, plan, config);
+  const LocalRunResult result = deployment.invoke("x");
+  const TimeMs gap =
+      config.params.spawn_gap_ms(Runtime::kPython3, IsolationMode::kMpk);
+  ASSERT_EQ(result.functions.size(), 2u);
+  for (const LocalFunctionResult& fr : result.functions) {
+    if (fr.id == 1) {
+      EXPECT_GE(fr.start_ms, gap - 1e-6);
+    }
+  }
+}
+
 TEST(LocalRunnerTest, MatchesChironPlanFromDeployment) {
   // End-to-end: PGP plan -> local execution completes and respects stage
   // structure for a real benchmark workflow (scaled down for speed).

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
+#include "core/predictor.h"
 #include "workflow/benchmarks.h"
 
 namespace chiron {
@@ -170,6 +173,60 @@ TEST(PlanBackendTest, NoStateTransitionsBilled) {
   const auto backend = make_backend(wf, faastlane_plan(wf));
   Rng rng(13);
   EXPECT_EQ(backend.run(rng).state_transitions, 0u);
+}
+
+// The ground truth reads the Predictor's cost model, so with every
+// NoiseConfig term at zero and the true behaviours as profiles the served
+// latency IS the prediction, bit for bit, over every valid fixed plan,
+// isolation mode, runtime and CPU cap.
+TEST(PlanBackendTest, ZeroNoiseServesExactlyThePrediction) {
+  NoiseConfig zero = no_noise();
+  zero.gil_handoff_ms = 0.0;
+  zero.model_skew = 0.0;
+  std::size_t checked = 0;
+  for (const Workflow& base :
+       {make_social_network(), make_movie_reviewing(), make_slapp(),
+        make_slapp_v(), make_finra(5), make_finra(50)}) {
+    for (Runtime rt : {Runtime::kPython3, Runtime::kJava, Runtime::kNodeJs}) {
+      std::vector<FunctionSpec> fns = base.functions();
+      for (FunctionSpec& f : fns) f.runtime = rt;
+      const Workflow wf(base.name(), std::move(fns), base.stages());
+      std::vector<FunctionBehavior> profiles;
+      for (const FunctionSpec& f : wf.functions()) {
+        profiles.push_back(f.behavior);
+      }
+      const Predictor predictor(
+          PredictorConfig{RuntimeParams::defaults(), rt, 1.0}, profiles);
+      for (const WrapPlan& shape :
+           {sand_plan(wf), faastlane_plan(wf), faastlane_t_plan(wf),
+            faastlane_plus_plan(wf), pool_plan(wf), one_to_one_plan(wf)}) {
+        for (IsolationMode mode :
+             {IsolationMode::kNative, IsolationMode::kMpk,
+              IsolationMode::kSfi, IsolationMode::kPool}) {
+          for (std::size_t cap : {0u, 1u, 2u, 4u}) {
+            WrapPlan plan = shape;
+            plan.mode = mode;
+            plan.cpu_cap = cap;
+            try {
+              plan.validate(wf);
+            } catch (const std::invalid_argument&) {
+              continue;  // e.g. more threads than MPK has protection keys
+            }
+            const TimeMs predicted = predictor.workflow_latency(plan);
+            const auto backend = make_backend(wf, plan, zero);
+            Rng rng(7);
+            EXPECT_EQ(backend.run(rng).e2e_latency_ms, predicted)
+                << wf.name() << " " << to_string(rt) << " "
+                << to_string(mode) << " cap " << cap << " stages "
+                << plan.stages.size() << " peak wraps "
+                << plan.sandbox_count();
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 TEST(PlanBackendTest, MeanLatencyAveragesRuns) {
