@@ -19,7 +19,7 @@ void load_sweep(const Workflow& wf, const SystemOptions& opts) {
             << ": offered-load sweep (8 nodes, Poisson arrivals) ---\n";
   Table table({"system", "offered", "achieved", "p50", "p99", "cold starts",
                "peak inst"});
-  for (const std::string& system : {"OpenFaaS", "Faastlane", "Chiron"}) {
+  for (const std::string system : {"OpenFaaS", "Faastlane", "Chiron"}) {
     const auto backend = make_system(system, wf, opts);
     const std::size_t cascade =
         system == "OpenFaaS" ? wf.stage_count() : 1;
@@ -47,7 +47,7 @@ void burst_scenario(const Workflow& wf, const SystemOptions& opts) {
   std::cout << "\n--- " << wf.name()
             << ": bursty arrivals, short keep-alive (cold-start stress) ---\n";
   Table table({"system", "achieved", "mean", "p99", "cold starts"});
-  for (const std::string& system : {"OpenFaaS", "Faastlane", "Chiron"}) {
+  for (const std::string system : {"OpenFaaS", "Faastlane", "Chiron"}) {
     const auto backend = make_system(system, wf, opts);
     const std::size_t cascade =
         system == "OpenFaaS" ? wf.stage_count() : 1;

@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   std::string trace_path;
   bool dump_metrics = false;
   std::size_t deploy_threads = 0;  // 0 = auto
-  std::string fault_text;
+  FaultSpec faults;
   int retry_attempts = 0;      // 0 = default (3 when faults are armed)
   TimeMs timeout_ms = 0.0;     // 0 = no per-request deadline
   double offered_rps = 50.0;
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
         deploy_threads = parse_count(v);
       }),
       value("--faults", [&](const std::string& v) {
-        fault_text = v;
+        faults = parse_fault_spec(v);
         fault_run = true;
       }),
       value("--retry", [&](const std::string& v) {
@@ -368,15 +368,6 @@ int main(int argc, char** argv) {
   }
 
   if (fault_run) {
-    FaultSpec faults;
-    if (!fault_text.empty()) {
-      try {
-        faults = parse_fault_spec(fault_text);
-      } catch (const std::exception& e) {
-        std::cerr << "fault spec error: " << e.what() << "\n";
-        return 2;
-      }
-    }
     ClusterConfig cluster;
     cluster.nodes = cluster_nodes;
     cluster.sim_threads = sim_threads;
@@ -440,15 +431,6 @@ int main(int argc, char** argv) {
     // same seed set, all runs fanned across a thread pool by run_batch.
     // Results are deterministic per (scenario, seed) regardless of pool
     // size, so these lines are reproducible run-over-run.
-    FaultSpec faults;
-    if (!fault_text.empty()) {
-      try {
-        faults = parse_fault_spec(fault_text);
-      } catch (const std::exception& e) {
-        std::cerr << "fault spec error: " << e.what() << "\n";
-        return 2;
-      }
-    }
     RuntimeParams params;
     WrapPlanBackend backend("chiron", params, def.workflow, d.plan);
 

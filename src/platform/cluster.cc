@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -48,6 +52,32 @@ std::size_t cluster_capacity(const ResourceUsage& usage,
   return std::max<std::size_t>(1, floor_capacity(capacity));
 }
 
+/// Rejects the values the engine would otherwise quietly reinterpret,
+/// naming the field.
+void validate(const ClusterConfig& config) {
+  auto reject = [](const std::string& field, const std::string& rule,
+                   double value) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", value);
+    throw std::invalid_argument("ClusterConfig: " + field + " must be " +
+                                rule + ", got " + got);
+  };
+  if (config.nodes == 0) reject("nodes", ">= 1", 0.0);
+  const RetryPolicy& retry = config.retry;
+  const std::pair<const char*, TimeMs> durations[] = {
+      {"keep_alive_ms", config.keep_alive_ms},
+      {"retry.base_backoff_ms", retry.base_backoff_ms},
+      {"retry.max_backoff_ms", retry.max_backoff_ms},
+      {"retry.timeout_ms", retry.timeout_ms}};
+  for (const auto& [field, ms] : durations) {
+    if (!std::isfinite(ms) || ms < 0.0) reject(field, "finite and >= 0", ms);
+  }
+  if (retry.max_attempts == 0) reject("retry.max_attempts", ">= 1", 0.0);
+  if (!(retry.jitter >= 0.0 && retry.jitter <= 1.0)) {
+    reject("retry.jitter", "in [0, 1]", retry.jitter);
+  }
+}
+
 }  // namespace
 
 TimeMs cold_start_penalty(const RuntimeParams& params,
@@ -57,7 +87,9 @@ TimeMs cold_start_penalty(const RuntimeParams& params,
 }
 
 ClusterSimulator::ClusterSimulator(ClusterConfig config, RuntimeParams params)
-    : config_(config), params_(params) {}
+    : config_(config), params_(params) {
+  validate(config_);
+}
 
 ClusterResult ClusterSimulator::run(const Backend& backend,
                                     std::size_t cascading_stages) const {

@@ -71,10 +71,13 @@ struct ClusterConfig {
   /// Optional observability sinks (not owned; null = off). The tracer
   /// receives *virtual-time* events (pid kVirtualPid): one async span per
   /// request, cold-start/fault/timeout instants, retry.backoff spans, and
-  /// queue-depth counter samples. The registry receives
-  /// cluster.cold_starts / cluster.queue_depth / cluster.e2e_latency_ms
-  /// plus chiron.fault.injected[.<kind>], chiron.retry.attempts, and
-  /// chiron.request.timeout, matching the returned ClusterResult.
+  /// queue-depth counter samples. The registry receives, once at the end
+  /// of the run (a mid-run scrape sees none of them move):
+  /// cluster.cold_starts, cluster.queue_depth, cluster.peak_instances,
+  /// cluster.e2e_latency_ms, cluster.node.<k>.{cold_starts,queue_depth},
+  /// chiron.fault.injected[.<kind>], chiron.retry.attempts,
+  /// chiron.request.timeout and the cluster.sim.* engine counters, all
+  /// matching the returned ClusterResult.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   /// Always-on flight recorder (not owned; null = off). Every request is
@@ -176,6 +179,11 @@ TimeMs cold_start_penalty(const RuntimeParams& params,
 /// Discrete-event closed-loop simulator.
 class ClusterSimulator {
  public:
+  /// Throws std::invalid_argument, naming the field, for a config the
+  /// engine would otherwise reinterpret: nodes == 0; a negative or
+  /// non-finite keep_alive_ms, retry.base_backoff_ms,
+  /// retry.max_backoff_ms or retry.timeout_ms; retry.max_attempts == 0;
+  /// retry.jitter outside [0, 1].
   ClusterSimulator(ClusterConfig config, RuntimeParams params);
 
   /// Simulates `backend` under the configured load. `cascading_stages`
@@ -208,7 +216,9 @@ class ClusterSimulator {
   /// conservative time windows with zero steady-state heap allocations
   /// per request. The parity chain is reference == engine(nodes=1)
   /// (ClusterParityTest) plus engine(threads=1) == engine(threads=N)
-  /// (ShardedParallelParityTest).
+  /// (ShardedParallelParityTest). `arrival_times` must be sorted
+  /// ascending, as ArrivalGenerator::generate returns them; anything
+  /// else throws std::invalid_argument.
   ClusterResult run_prepared(const Backend& backend,
                              std::size_t cascading_stages,
                              const std::vector<TimeMs>& arrival_times,

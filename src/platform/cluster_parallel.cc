@@ -44,11 +44,14 @@
 // ClusterParityTest asserts bit-for-bit.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <future>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -142,6 +145,9 @@ constexpr TimeMs kInf = std::numeric_limits<TimeMs>::infinity();
 /// (its origin-side ring entry is a tombstone; the destination re-arms a
 /// heap timeout at delivery).
 constexpr std::uint32_t kTimeoutInFlight = 0xFFFFFFFFu;
+/// Node of an event no node owns yet (admission); the recorder reads it
+/// as node -1.
+constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
 /// Fidelity cap for stateful-router windows: snapshots are republished
 /// at least this often in simulated time.
 constexpr TimeMs kStatefulWindowMs = 10.0;
@@ -197,6 +203,11 @@ struct LogEntry {
   } kind;
 };
 
+/// The fault kinds the engine injects, in publication order.
+constexpr FaultKind kInjectedFaults[] = {
+    FaultKind::kColdStart, FaultKind::kCrash, FaultKind::kStraggler,
+    FaultKind::kNodeCrash};
+
 /// Counters a worker accumulates privately; summed (integers — order
 /// free) into ClusterResult and the metric sinks at teardown.
 struct Tally {
@@ -206,7 +217,9 @@ struct Tally {
   std::size_t timed_out = 0;
   std::size_t dropped = 0;
   std::size_t cold_starts = 0;
-  std::size_t fault_kind[4] = {0, 0, 0, 0};  // cold, crash, straggler, node
+  /// Injected faults, indexed by FaultKind.
+  std::array<std::size_t, static_cast<std::size_t>(FaultKind::kNodeCrash) + 1>
+      faults{};
 
   void fold(const Tally& t) {
     completed += t.completed;
@@ -215,10 +228,7 @@ struct Tally {
     timed_out += t.timed_out;
     dropped += t.dropped;
     cold_starts += t.cold_starts;
-    for (int i = 0; i < 4; ++i) fault_kind[i] += t.fault_kind[i];
-  }
-  std::size_t fault_total() const {
-    return fault_kind[0] + fault_kind[1] + fault_kind[2] + fault_kind[3];
+    for (std::size_t i = 0; i < faults.size(); ++i) faults[i] += t.faults[i];
   }
 };
 
@@ -279,16 +289,6 @@ struct Shard {
   std::size_t node_crashes = 0;
 };
 
-int fault_kind_index(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kColdStart: return 0;
-    case FaultKind::kCrash: return 1;
-    case FaultKind::kStraggler: return 2;
-    case FaultKind::kNodeCrash: return 3;
-    default: return -1;
-  }
-}
-
 }  // namespace
 
 ClusterResult run_prepared_windowed(const ClusterConfig& config,
@@ -297,8 +297,13 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
                                     std::size_t cascading_stages,
                                     const std::vector<TimeMs>& arrival_times,
                                     std::uint64_t id_base) {
-  const std::uint32_t node_count =
-      static_cast<std::uint32_t>(std::max<std::size_t>(1, config.nodes));
+  // The arrival cursor reads the stream in order, so it must be sorted
+  // (ArrivalGenerator::generate's output is).
+  if (!std::is_sorted(arrival_times.begin(), arrival_times.end())) {
+    throw std::invalid_argument(
+        "ClusterSimulator::run_prepared: arrival_times must be sorted");
+  }
+  const std::uint32_t node_count = static_cast<std::uint32_t>(config.nodes);
   const bool solo = node_count == 1;
   const std::size_t per_node_capacity =
       node_capacity(backend.resources(), params);
@@ -341,10 +346,9 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   if (retry_transfers) {
     // Backoff floor: the smallest backoff any retry can draw is
     // min(base, max) * (1 - jitter) (attempt 1, worst-case jitter).
-    const double swing = std::min(retry.jitter, 1.0);
     const TimeMs floor_ms =
         std::min(retry.base_backoff_ms, retry.max_backoff_ms) *
-        (1.0 - swing);
+        (1.0 - retry.jitter);
     width = std::min(width, std::max(kMinWindowMs, floor_ms));
   }
   if (stateful_router) width = std::min(width, kStatefulWindowMs);
@@ -357,55 +361,74 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   result.node_results.resize(node_count);
 
   // Observability sinks (simulated timestamps throughout). Tracer and
-  // recorder are thread-safe and written live by workers; metric
-  // counters are flushed once at teardown from the per-shard tallies so
-  // their final values are deterministic and match ClusterResult.
+  // recorder are thread-safe and written live, by workers too, through
+  // note(); registry metrics are published once at teardown from the
+  // engine's own state, so their final values are deterministic and
+  // match ClusterResult.
   obs::Tracer* tracer =
       config.tracer && config.tracer->enabled() ? config.tracer : nullptr;
-  obs::MetricsRegistry* metrics = config.metrics;
   const int request_track =
       tracer ? tracer->new_track("cluster.requests", obs::kVirtualPid) : 0;
   obs::FlightRecorder* recorder =
       config.recorder && config.recorder->enabled() ? config.recorder
                                                     : nullptr;
-  const std::string fault_label[4] = {"fault.cold_start", "fault.crash",
-                                      "fault.straggler", "fault.node_crash"};
-  std::vector<obs::Gauge*> node_queue_gauge(node_count, nullptr);
-  if (metrics) {
-    for (std::uint32_t k = 0; k < node_count; ++k) {
-      node_queue_gauge[k] = &metrics->gauge("cluster.node." +
-                                            std::to_string(k) +
-                                            ".queue_depth");
-    }
-  }
   auto rid = [id_base](std::uint64_t id) { return id_base + id; };
+
+  // The one path from a request event to the sinks: the recorder record,
+  // and the trace event drawn from the same kind. A terminal kind
+  // (complete, timeout, drop) also closes the request's async span.
+  auto note = [&](obs::RecKind kind, std::uint32_t id, std::uint32_t attempt,
+                  TimeMs at, double value, std::uint32_t node) {
+    if (recorder) {
+      recorder->record(kind, rid(id), attempt, at, value,
+                       static_cast<std::int32_t>(node));
+    }
+    if (!tracer) return;
+    const double request = static_cast<double>(rid(id));
+    switch (kind) {
+      case obs::RecKind::kAdmit:
+        tracer->async_begin_at("request", "sim", obs::kVirtualPid,
+                               request_track, at, rid(id));
+        return;
+      case obs::RecKind::kColdStart:
+        tracer->instant_at("cluster.cold_start", "sim", obs::kVirtualPid,
+                           request_track, at,
+                           {{"request", request},
+                            {"node", static_cast<double>(node)}});
+        return;
+      case obs::RecKind::kFaultColdStart:
+      case obs::RecKind::kFaultCrash:
+      case obs::RecKind::kFaultStraggler:
+      case obs::RecKind::kNodeCrash:
+        tracer->instant_at(kind == obs::RecKind::kNodeCrash
+                               ? "fault.node_crash"
+                               : obs::to_string(kind),
+                           "fault", obs::kVirtualPid, request_track, at,
+                           {{"request", request},
+                            {"attempt", static_cast<double>(attempt)}});
+        return;
+      case obs::RecKind::kRetryBackoff:
+        tracer->complete_at("retry.backoff", "fault", obs::kVirtualPid,
+                            request_track, at, value,
+                            {{"attempt", static_cast<double>(attempt)},
+                             {"request", request}});
+        return;
+      case obs::RecKind::kTimeout:
+        tracer->instant_at("request.timeout", "fault", obs::kVirtualPid,
+                           request_track, at, {{"request", request}});
+        break;
+      case obs::RecKind::kComplete:
+      case obs::RecKind::kDrop:
+        break;
+      default:  // kQueue, kServiceBegin: recorder only
+        return;
+    }
+    tracer->async_end_at("request", "sim", obs::kVirtualPid, request_track,
+                         at, rid(id));
+  };
 
   std::vector<ReqState> reqs(n);
   for (std::size_t i = 0; i < n; ++i) reqs[i].arrival = arrival_times[i];
-
-  // Arrival order: a cursor over the (time, index)-sorted stream. The
-  // generator emits sorted times; an unsorted hand-built vector gets one
-  // stable index sort at setup (the heap order of the reference loop,
-  // which schedules every arrival up front).
-  const bool sorted_arrivals =
-      std::is_sorted(arrival_times.begin(), arrival_times.end());
-  std::vector<std::uint32_t> arrival_order;
-  if (!sorted_arrivals) {
-    arrival_order.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      arrival_order[i] = static_cast<std::uint32_t>(i);
-    }
-    std::stable_sort(arrival_order.begin(), arrival_order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return arrival_times[a] < arrival_times[b];
-                     });
-  }
-  auto arrival_id = [&](std::size_t i) {
-    return sorted_arrivals ? static_cast<std::uint32_t>(i) : arrival_order[i];
-  };
-  auto arrival_at = [&](std::size_t i) {
-    return arrival_times[arrival_id(i)];
-  };
 
   // Statically-known node crash schedule, sorted by (time, node): each
   // crash is a window cut processed by the coordinator at its barrier.
@@ -464,8 +487,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   RouterSnapshot snapshot(node_count);
   std::vector<std::size_t> merge_cursor(node_count, 0);
   Tally coord;  ///< crash-path and late-timeout counters
-  obs::Histogram* latency_hist =
-      metrics ? &metrics->histogram("cluster.e2e_latency_ms") : nullptr;
 
   // Global running aggregates, advanced only at barriers (merged logs)
   // and by coordinator-side crash processing — one canonical order.
@@ -476,7 +497,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   std::size_t fanout_windows = 0;
   std::size_t transfer_count = 0;
   std::size_t barrier_routed = 0;
-  std::size_t next_arrival = 0;  ///< arrival cursor (sorted order)
+  std::uint32_t next_arrival = 0;  ///< arrival cursor: the next id
 
   // Folds one accounting delta into the global trajectory: peaks are
   // sampled at their only increase points (kLiveUp / kQueueUp), and
@@ -499,7 +520,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
         break;
       case LogEntry::Kind::kLatency:
         latencies.push_back(value);
-        if (latency_hist) latency_hist->observe(value);
         return;
     }
     if (tracer) {
@@ -538,49 +558,38 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     }
   };
 
-  auto note_node_queue = [&](Shard& s) {
-    if (node_queue_gauge[s.k]) {
-      node_queue_gauge[s.k]->set(static_cast<double>(s.queued_live));
-    }
-  };
-
   auto count_fault = [&](Shard& s, FaultKind kind, std::uint32_t id,
                          std::uint32_t attempt, TimeMs now,
                          double value = 0.0) {
-    const int ki = fault_kind_index(kind);
-    if (ki >= 0) ++s.tally.fault_kind[ki];
-    if (tracer && ki >= 0) {
-      tracer->instant_at(fault_label[ki], "fault", obs::kVirtualPid,
-                         request_track, now,
-                         {{"request", static_cast<double>(rid(id))},
-                          {"attempt", static_cast<double>(attempt)}});
-    }
-    if (recorder) {
-      recorder->record(fault_rec_kind(kind), rid(id), attempt, now, value,
-                       static_cast<std::int32_t>(reqs[id].node));
+    ++s.tally.faults[static_cast<std::size_t>(kind)];
+    note(fault_rec_kind(kind), id, attempt, now, value, reqs[id].node);
+  };
+
+  // Disarms the timeout `r` holds, seen from shard `s` (which must own
+  // it, or it is a ring entry turning into a lazy tombstone).
+  auto disarm_timeout = [&](Shard& s, ReqState& r) {
+    if (r.timeout_via_ring) {
+      r.ring_live = false;  // via_ring implies s owns the ring entry
+    } else if (r.timeout_node == s.k) {
+      s.events.cancel(r.timeout_ev);
     }
   };
 
-  auto end_request_span = [&](std::uint32_t id, TimeMs now) {
-    if (tracer) {
-      tracer->async_end_at("request", "sim", obs::kVirtualPid, request_track,
-                           now, rid(id));
-    }
+  // Hands `r`'s armed timeout to a cross-node transfer: it leaves `s`
+  // and the destination re-arms it at delivery.
+  auto transfer_timeout = [&](Shard& s, ReqState& r) {
+    if (!r.has_timeout_ev) return;
+    disarm_timeout(s, r);
+    r.timeout_node = kTimeoutInFlight;
+    r.timeout_via_ring = false;
   };
 
-  // Disarms `id`'s timeout from shard `s` (which must own it, or it is a
-  // ring entry turning into a lazy tombstone) and marks the request done.
+  // Disarms `id`'s timeout from shard `s` and marks the request done.
   auto finalize = [&](Shard& s, std::uint32_t id) {
     ReqState& r = reqs[id];
     r.phase = ReqState::Phase::kDone;
-    if (r.has_timeout_ev) {
-      if (r.timeout_via_ring) {
-        r.ring_live = false;  // via_ring implies s owns the ring entry
-      } else if (r.timeout_node == s.k) {
-        s.events.cancel(r.timeout_ev);
-      }
-      r.has_timeout_ev = false;
-    }
+    if (r.has_timeout_ev) disarm_timeout(s, r);
+    r.has_timeout_ev = false;
   };
 
   auto take_queued = [&](Shard& s) -> std::optional<std::uint32_t> {
@@ -588,7 +597,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       const std::uint32_t id = s.queue.pop_front();
       if (reqs[id].phase == ReqState::Phase::kQueued) {
         --s.queued_live;
-        note_node_queue(s);
         return id;
       }
     }
@@ -609,17 +617,8 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     if (r.attempt < retry.max_attempts) {
       ++tally.retried;
       const TimeMs backoff = injector.retry_backoff_ms(retry, r.attempt, id);
-      if (tracer) {
-        tracer->complete_at("retry.backoff", "fault", obs::kVirtualPid,
-                            request_track, t, extra_delay + backoff,
-                            {{"attempt", static_cast<double>(r.attempt)},
-                             {"request", static_cast<double>(rid(id))}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kRetryBackoff, rid(id), r.attempt, t,
-                         extra_delay + backoff,
-                         static_cast<std::int32_t>(r.node));
-      }
+      note(obs::RecKind::kRetryBackoff, id, r.attempt, t,
+           extra_delay + backoff, r.node);
       ++r.attempt;
       r.phase = ReqState::Phase::kBackoff;
       const TimeMs t_retry = t + extra_delay + backoff;
@@ -629,25 +628,13 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       } else if (r.has_timeout_ev && deadline_of(r) <= t_retry) {
         // The timeout wins: leave it armed where it is; no transfer.
       } else {
-        if (r.has_timeout_ev) {
-          if (r.timeout_via_ring) {
-            r.ring_live = false;  // origin ring entry tombstoned
-          } else if (r.timeout_node == s.k) {
-            s.events.cancel(r.timeout_ev);
-          }
-          r.timeout_node = kTimeoutInFlight;
-          r.timeout_via_ring = false;
-        }
+        transfer_timeout(s, r);
         sink(Transfer{t_retry, id});
       }
     } else {
       ++tally.dropped;
-      if (recorder) {
-        recorder->record(obs::RecKind::kDrop, rid(id), r.attempt, t, 0.0,
-                         static_cast<std::int32_t>(r.node));
-      }
+      note(obs::RecKind::kDrop, id, r.attempt, t, 0.0, r.node);
       finalize(s, id);
-      end_request_span(id, t);
     }
   };
 
@@ -662,10 +649,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       count_fault(s, FaultKind::kStraggler, id, r.attempt, now,
                   config.faults.straggler_multiplier);
     }
-    if (recorder) {
-      recorder->record(obs::RecKind::kServiceBegin, rid(id), r.attempt, now,
-                       service, static_cast<std::int32_t>(s.k));
-    }
+    note(obs::RecKind::kServiceBegin, id, r.attempt, now, service, s.k);
     if (injector.crashes(id, r.attempt)) {
       const TimeMs crash_at =
           now + startup + service * config.faults.crash_point;
@@ -703,16 +687,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       ++s.live;
       log_entry(s, now, LogEntry::Kind::kLiveUp);
       ++s.tally.cold_starts;
-      if (tracer) {
-        tracer->instant_at("cluster.cold_start", "sim", obs::kVirtualPid,
-                           request_track, now,
-                           {{"request", static_cast<double>(rid(id))},
-                            {"node", static_cast<double>(s.k)}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kColdStart, rid(id), r.attempt, now,
-                         cold_penalty, static_cast<std::int32_t>(s.k));
-      }
+      note(obs::RecKind::kColdStart, id, r.attempt, now, cold_penalty, s.k);
       begin_service(s, id, now, cold_penalty);
     } else {
       r.phase = ReqState::Phase::kQueued;
@@ -720,12 +695,8 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       ++s.queued_live;
       s.peak_queue = std::max(s.peak_queue, s.queued_live);
       log_entry(s, now, LogEntry::Kind::kQueueUp);
-      if (recorder) {
-        recorder->record(obs::RecKind::kQueue, rid(id), r.attempt, now,
-                         static_cast<double>(s.queued_live),
-                         static_cast<std::int32_t>(s.k));
-      }
-      note_node_queue(s);
+      note(obs::RecKind::kQueue, id, r.attempt, now,
+           static_cast<double>(s.queued_live), s.k);
     }
   };
 
@@ -750,22 +721,13 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     if (r.timeout_via_ring) r.ring_live = false;  // fired from s's own ring
     r.has_timeout_ev = false;
     ++tally.timed_out;
-    if (tracer) {
-      tracer->instant_at("request.timeout", "fault", obs::kVirtualPid,
-                         request_track, at,
-                         {{"request", static_cast<double>(rid(id))}});
-    }
-    if (recorder) {
-      recorder->record(obs::RecKind::kTimeout, rid(id), r.attempt, at, 0.0,
-                       static_cast<std::int32_t>(r.node));
-    }
+    note(obs::RecKind::kTimeout, id, r.attempt, at, 0.0, r.node);
     switch (r.phase) {
       case ReqState::Phase::kQueued: {
         // Lazy tombstone: the queue entry stays behind and take_queued
         // skips it; only the live counters move.
         --s.queued_live;
         log_entry(s, at, LogEntry::Kind::kQueueDown);
-        note_node_queue(s);
         break;
       }
       case ReqState::Phase::kRunning: {
@@ -786,7 +748,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
         break;
     }
     r.phase = ReqState::Phase::kDone;
-    end_request_span(id, at);
   };
 
   auto handle_completion = [&](Shard& s, std::uint32_t id, TimeMs at,
@@ -797,12 +758,8 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     const TimeMs latency = at - r.arrival;
     log_entry(s, at, LogEntry::Kind::kLatency, latency);
     ++tally.completed;
-    if (recorder) {
-      recorder->record(obs::RecKind::kComplete, rid(id), r.attempt, at,
-                       latency, static_cast<std::int32_t>(s.k));
-    }
+    note(obs::RecKind::kComplete, id, r.attempt, at, latency, s.k);
     finalize(s, id);
-    end_request_span(id, at);
     release_instance(s, at);
   };
 
@@ -828,13 +785,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     ReqState& r = reqs[e.id];
     s.events.advance_to(e.at);
     if (e.kind == InboxEntry::Kind::kNew) {
-      if (tracer) {
-        tracer->async_begin_at("request", "sim", obs::kVirtualPid,
-                               request_track, e.at, rid(e.id));
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kAdmit, rid(e.id), 1, e.at);
-      }
+      note(obs::RecKind::kAdmit, e.id, 1, e.at, 0.0, kNoNode);
       if (has_timeout) {
         r.has_timeout_ev = true;
         r.timeout_via_ring = true;
@@ -881,8 +832,8 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       prune_timeout_ring(s);
       TimeMs inbox_at = kInf;
       if (solo) {
-        if (next_arrival < n && arrival_at(next_arrival) < window_end) {
-          inbox_at = arrival_at(next_arrival);
+        if (next_arrival < n && arrival_times[next_arrival] < window_end) {
+          inbox_at = arrival_times[next_arrival];
         }
       } else if (s.inbox_cursor < s.inbox.size()) {
         inbox_at = s.inbox[s.inbox_cursor].at;
@@ -905,7 +856,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       }
       if (inbox_at < kInf && inbox_at <= ring_at && inbox_at <= heap_at) {
         const InboxEntry e =
-            solo ? InboxEntry{inbox_at, arrival_id(next_arrival++),
+            solo ? InboxEntry{inbox_at, next_arrival++,
                               InboxEntry::Kind::kNew}
                  : s.inbox[s.inbox_cursor++];
         handle_inbox(s, e, tally, sink);
@@ -964,17 +915,8 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       // deadline instead of re-dispatching.
       r.has_timeout_ev = false;
       ++coord.timed_out;
-      if (tracer) {
-        tracer->instant_at("request.timeout", "fault", obs::kVirtualPid,
-                           request_track, deadline,
-                           {{"request", static_cast<double>(rid(id))}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kTimeout, rid(id), r.attempt,
-                         deadline, 0.0, static_cast<std::int32_t>(r.node));
-      }
+      note(obs::RecKind::kTimeout, id, r.attempt, deadline, 0.0, r.node);
       r.phase = ReqState::Phase::kDone;
-      end_request_span(id, deadline);
       coord_last = std::max(coord_last, deadline);
       return;
     }
@@ -1011,11 +953,11 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     std::size_t p = 0;
     while (true) {
       const bool have_arr = next_arrival < n;
-      const TimeMs a_at = have_arr ? arrival_at(next_arrival) : kInf;
+      const TimeMs a_at = have_arr ? arrival_times[next_arrival] : kInf;
       const bool have_p = p < pending.size();
       const TimeMs p_at = have_p ? std::max(pending[p].at, B) : kInf;
       if (a_at < window_end && a_at <= p_at) {
-        route_one(arrival_id(next_arrival), a_at, InboxEntry::Kind::kNew);
+        route_one(next_arrival, a_at, InboxEntry::Kind::kNew);
         ++next_arrival;
       } else if (p_at < window_end) {
         route_one(pending[p].id, p_at, InboxEntry::Kind::kRedispatch);
@@ -1035,7 +977,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     std::vector<std::uint32_t> batch_picks;
     batch_picks.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      publish_views(arrival_at(i));
       batch_picks.push_back(router.pick(snapshot.data(), node_count));
       snapshot.apply_pick(batch_picks.back());
     }
@@ -1047,12 +988,12 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
       // latency per dispatch: 5x routed bounds the whole-run log.
       shards[k].log.reserve(5 * routed_k[k] + 16);
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      shards[batch_picks[i]].inbox.push_back(InboxEntry{
-          arrival_at(i), arrival_id(i), InboxEntry::Kind::kNew});
+    for (std::uint32_t i = 0; i < n; ++i) {
+      shards[batch_picks[i]].inbox.push_back(
+          InboxEntry{arrival_times[i], i, InboxEntry::Kind::kNew});
       ++barrier_routed;
     }
-    next_arrival = n;
+    next_arrival = static_cast<std::uint32_t>(n);
   }
 
   // Merges every shard's window log into the global trajectory in
@@ -1141,15 +1082,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
             c.at, ClusterEvent{ClusterEvent::Kind::kRetry, *qid});
         continue;
       }
-      if (r.has_timeout_ev) {
-        if (r.timeout_via_ring) {
-          r.ring_live = false;
-        } else if (r.timeout_node == s.k) {
-          s.events.cancel(r.timeout_ev);
-        }
-        r.timeout_node = kTimeoutInFlight;
-        r.timeout_via_ring = false;
-      }
+      transfer_timeout(s, r);
       route_one(*qid, c.at, InboxEntry::Kind::kRedispatch);
     }
   };
@@ -1210,7 +1143,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   TimeMs B = 0.0;
   for (;;) {
     TimeMs t_min = kInf;
-    if (next_arrival < n) t_min = std::min(t_min, arrival_at(next_arrival));
+    if (next_arrival < n) t_min = std::min(t_min, arrival_times[next_arrival]);
     for (const Transfer& t : pending) t_min = std::min(t_min, t.at);
     if (next_crash < crashes.size()) {
       t_min = std::min(t_min, crashes[next_crash].at);
@@ -1265,9 +1198,16 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   result.timed_out = total.timed_out;
   result.dropped = total.dropped;
 
-  // Streaming accumulator in the merged (time, node) completion order
-  // (deterministic: virtual time), merged across seeds by run_batch.
-  for (double latency : latencies) result.latency_stats.add(latency);
+  // Streaming accumulator and latency histogram, both in the merged
+  // (time, node) completion order (deterministic: virtual time);
+  // run_batch merges the accumulators across seeds.
+  obs::MetricsRegistry* metrics = config.metrics;
+  obs::Histogram* latency_hist =
+      metrics ? &metrics->histogram("cluster.e2e_latency_ms") : nullptr;
+  for (double latency : latencies) {
+    result.latency_stats.add(latency);
+    if (latency_hist) latency_hist->observe(latency);
+  }
   if (!latencies.empty()) {
     result.mean_ms = mean_of(latencies);
     // One sort for all three quantiles, in the buffer itself: no second
@@ -1286,27 +1226,32 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   if (metrics) {
     metrics->counter("cluster.cold_starts")
         .inc(static_cast<std::int64_t>(total.cold_starts));
-    metrics->counter("chiron.fault.injected")
-        .inc(static_cast<std::int64_t>(total.fault_total()));
-    metrics->counter("chiron.fault.injected.cold_start")
-        .inc(static_cast<std::int64_t>(total.fault_kind[0]));
-    metrics->counter("chiron.fault.injected.crash")
-        .inc(static_cast<std::int64_t>(total.fault_kind[1]));
-    metrics->counter("chiron.fault.injected.straggler")
-        .inc(static_cast<std::int64_t>(total.fault_kind[2]));
-    metrics->counter("chiron.fault.injected.node_crash")
-        .inc(static_cast<std::int64_t>(total.fault_kind[3]));
+    std::int64_t injected = 0;
+    for (const FaultKind kind : kInjectedFaults) {
+      const auto count = static_cast<std::int64_t>(
+          total.faults[static_cast<std::size_t>(kind)]);
+      metrics->counter(std::string("chiron.fault.injected.") +
+                       to_string(kind))
+          .inc(count);
+      injected += count;
+    }
+    metrics->counter("chiron.fault.injected").inc(injected);
     metrics->counter("chiron.retry.attempts")
         .inc(static_cast<std::int64_t>(total.retried));
     metrics->counter("chiron.request.timeout")
         .inc(static_cast<std::int64_t>(total.timed_out));
+    // Queue-depth gauges are replayed: high-water = the peak, final
+    // value = the (empty) end-of-run depth — what setting them at every
+    // queue change would have left.
     for (std::uint32_t k = 0; k < node_count; ++k) {
-      metrics->counter("cluster.node." + std::to_string(k) + ".cold_starts")
-          .inc(static_cast<std::int64_t>(shards[k].tally.cold_starts));
+      const Shard& s = shards[k];
+      const std::string node = "cluster.node." + std::to_string(k);
+      metrics->counter(node + ".cold_starts")
+          .inc(static_cast<std::int64_t>(s.tally.cold_starts));
+      obs::Gauge& depth = metrics->gauge(node + ".queue_depth");
+      depth.set(static_cast<double>(s.peak_queue));
+      depth.set(static_cast<double>(s.queued_live));
     }
-    // Gauge replay: high-water = the merged peak, final value = the
-    // (empty) end-of-run depth — matching the sequential loop's last
-    // set() exactly.
     obs::Gauge& qg = metrics->gauge("cluster.queue_depth");
     qg.set(static_cast<double>(result.peak_queue));
     qg.set(static_cast<double>(queued_now));

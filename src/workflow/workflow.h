@@ -28,7 +28,7 @@ struct FunctionSpec {
 
   /// Files the function opens for writing; two functions touching the same
   /// file must not share a sandbox (§3.4).
-  std::vector<std::string> files_written;
+  std::vector<std::string> files_written{};
 
   /// Runtime flavour tag (e.g. "py3.11" vs "py2.7"); differing tags are a
   /// sandbox-sharing conflict (§3.4).

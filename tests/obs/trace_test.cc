@@ -141,7 +141,9 @@ TEST(TracerTest, ConcurrentRecordingIsBalancedPerTrack) {
       EXPECT_GE(depth[ev.tid], 0);
     }
     auto it = last_ts.find(ev.tid);
-    if (it != last_ts.end()) EXPECT_GE(ev.ts_us, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(ev.ts_us, it->second);
+    }
     last_ts[ev.tid] = ev.ts_us;
   }
   for (const auto& [tid, d] : depth) EXPECT_EQ(d, 0);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -379,6 +382,80 @@ TEST(ClusterTest, PerNodeMetricsSumToClusterTotals) {
   EXPECT_EQ(completed, r.completed);
 }
 
+TEST(ClusterTest, RejectsUnsortedArrivals) {
+  // The engine reads arrivals through an in-order cursor; a hand-built
+  // unsorted stream is an error, not something to re-sort silently.
+  const RuntimeParams params = RuntimeParams::defaults();
+  const FixedLatencyBackend backend(10.0, ResourceUsage{});
+  const ClusterSimulator sim(ClusterConfig{}, params);
+  EXPECT_THROW(sim.run_prepared(backend, 1, {0.0, 5.0, 3.0}, 1),
+               std::invalid_argument);
+  EXPECT_EQ(sim.run_prepared(backend, 1, {0.0, 3.0, 3.0, 5.0}, 1).completed,
+            4u);
+}
+
+/// Expects constructing a simulator on `config` to throw
+/// std::invalid_argument whose message names `field`.
+void expect_rejected(const ClusterConfig& config, const std::string& field) {
+  try {
+    ClusterSimulator sim(config, RuntimeParams::defaults());
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ClusterTest, RejectsZeroNodes) {
+  ClusterConfig config;
+  config.nodes = 0;
+  expect_rejected(config, "nodes");
+}
+
+TEST(ClusterTest, RejectsNegativeOrNonFiniteDurations) {
+  const double bad[] = {-1.0, std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()};
+  for (const double v : bad) {
+    ClusterConfig config;
+    config.keep_alive_ms = v;
+    expect_rejected(config, "keep_alive_ms");
+    config = ClusterConfig{};
+    config.retry.base_backoff_ms = v;
+    expect_rejected(config, "retry.base_backoff_ms");
+    config = ClusterConfig{};
+    config.retry.max_backoff_ms = v;
+    expect_rejected(config, "retry.max_backoff_ms");
+    config = ClusterConfig{};
+    config.retry.timeout_ms = v;
+    expect_rejected(config, "retry.timeout_ms");
+  }
+  ClusterConfig zero;  // zero keep-alive, backoff and timeout stay valid
+  zero.keep_alive_ms = 0.0;
+  zero.retry.base_backoff_ms = 0.0;
+  zero.retry.max_backoff_ms = 0.0;
+  zero.retry.timeout_ms = 0.0;
+  EXPECT_NO_THROW(ClusterSimulator(zero, RuntimeParams::defaults()));
+}
+
+TEST(ClusterTest, RejectsZeroAttempts) {
+  ClusterConfig config;
+  config.retry.max_attempts = 0;
+  expect_rejected(config, "retry.max_attempts");
+}
+
+TEST(ClusterTest, RejectsJitterOutsideUnitInterval) {
+  for (const double v : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    ClusterConfig config;
+    config.retry.jitter = v;
+    expect_rejected(config, "retry.jitter");
+  }
+  for (const double v : {0.0, 1.0}) {  // both edges stay valid
+    ClusterConfig config;
+    config.retry.jitter = v;
+    EXPECT_NO_THROW(ClusterSimulator(config, RuntimeParams::defaults()));
+  }
+}
+
 TEST(ClusterFaultTest, NodeCrashFailsInFlightAndDrainsWarmPool) {
   // node_crash = 1.0: every node crashes exactly once at a seeded point
   // in the run. Victims fail (and retry), the node's warm pool drains,
@@ -597,6 +674,63 @@ TEST(ClusterFaultTest, EveryRequestSpanIsClosedUnderFaults) {
     if (ev.name == "request" && ev.phase == 'e') ++ends;
   }
   EXPECT_EQ(begins, r.offered);
+  EXPECT_EQ(ends, r.offered);
+}
+
+TEST(ClusterFaultTest, TransferClampedPastItsDeadlineTimesOutThere) {
+  // Jitter 1 zeroes the backoff floor, so a retry's transfer can land in
+  // the window it failed in; the coordinator delivers it at the next
+  // barrier, and a deadline that falls in between times the request out
+  // at the deadline instead. Every warm attempt here crashes 10 ms in
+  // against a 10.2 ms deadline, so that gap is hit, and each such request
+  // still ends with one timeout, recorded and traced at its deadline.
+  const RuntimeParams params = RuntimeParams::defaults();
+  ResourceUsage usage;
+  usage.cpus = static_cast<double>(params.node_cpus) / 8.0;
+  const FixedLatencyBackend backend(20.0, usage);
+  obs::FlightRecorder recorder(1 << 16);
+  recorder.set_enabled(true);
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  ClusterConfig config;
+  config.nodes = 2;
+  config.horizon_ms = 2000.0;
+  config.offered_rps = 100.0;
+  config.faults.crash = 1.0;
+  config.faults.crash_point = 0.5;
+  config.faults.seed = 5;
+  config.retry.max_attempts = 2;
+  config.retry.base_backoff_ms = 0.5;
+  config.retry.jitter = 1.0;
+  config.retry.timeout_ms = 10.2;
+  config.recorder = &recorder;
+  config.tracer = &tracer;
+  const ClusterResult r = ClusterSimulator(config, params).run(backend, 1);
+  ASSERT_EQ(recorder.dropped_count(), 0u);
+
+  std::size_t late = 0;
+  for (std::uint64_t i = 0; i < r.offered; ++i) {
+    const std::vector<obs::RecorderEvent> timeline =
+        recorder.timeline(r.request_id_base + i);
+    ASSERT_GE(timeline.size(), 2u);
+    const obs::RecorderEvent& last = timeline.back();
+    const obs::RecorderEvent& backoff = timeline[timeline.size() - 2];
+    // The retry was due before the deadline, yet nothing was dispatched.
+    if (backoff.kind == obs::RecKind::kRetryBackoff &&
+        backoff.ts_ms + backoff.value < last.ts_ms) {
+      ++late;
+      EXPECT_EQ(last.kind, obs::RecKind::kTimeout);
+      EXPECT_EQ(last.ts_ms,
+                timeline.front().ts_ms + config.retry.timeout_ms);
+    }
+  }
+  EXPECT_GT(late, 0u);
+  std::size_t timeouts = 0, ends = 0;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.name == "request.timeout") ++timeouts;
+    if (ev.name == "request" && ev.phase == 'e') ++ends;
+  }
+  EXPECT_EQ(timeouts, r.timed_out);
   EXPECT_EQ(ends, r.offered);
 }
 

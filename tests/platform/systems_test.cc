@@ -89,7 +89,7 @@ TEST(SystemsTest, ChironThroughputBeatsOthers) {
   Rng rng(4);
   const SystemEval chiron =
       evaluate_system(*make_system("Chiron", wf, opts), opts.params, rng, 5);
-  for (const std::string& name : {"OpenFaaS", "SAND", "Faastlane"}) {
+  for (const char* name : {"OpenFaaS", "SAND", "Faastlane"}) {
     Rng r(5);
     const SystemEval other =
         evaluate_system(*make_system(name, wf, opts), opts.params, r, 5);
