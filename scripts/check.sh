@@ -48,8 +48,9 @@ scripts/bench_guard.py --check
 
 echo "== tier-1: obs smoke =="
 # End-to-end observability: run a faulted chironctl with the embedded obs
-# endpoint + flight recorder, scrape /healthz + /metrics over HTTP, and
-# JSON-validate /trace, /recorder, and the on-exit recorder dump.
+# endpoint + flight recorder, scrape /healthz + /metrics over HTTP,
+# JSON-validate /trace and /recorder, and check that the on-exit recorder
+# dump keeps every slot of its (deliberately small) capacity.
 OBS_LOG="${BUILD_DIR}/obs_smoke.log"
 OBS_DUMP="${BUILD_DIR}/obs_smoke_recorder.json"
 rm -f "${OBS_LOG}" "${OBS_DUMP}"
@@ -59,7 +60,7 @@ CHIRON_LOG_LEVEL=info "${BUILD_DIR}/examples/chironctl" \
   --faults cold=0.05,crash=0.05,straggler=0.1x4,seed=7 \
   --retry 3 --timeout-ms 1500 --rps 30 \
   --serve-obs 0 --obs-linger-ms 6000 \
-  --recorder --recorder-dump "${OBS_DUMP}" \
+  --recorder --recorder-capacity 256 --recorder-dump "${OBS_DUMP}" \
   >"${OBS_LOG}" 2>&1 &
 OBS_PID=$!
 
@@ -89,7 +90,16 @@ if [[ "${OBS_RC}" != "0" && "${OBS_RC}" != "3" ]]; then
   cat "${OBS_LOG}" >&2
   exit 1
 fi
-python3 -c 'import json,sys; json.load(open(sys.argv[1]))["events"]' "${OBS_DUMP}"
+python3 - "${OBS_DUMP}" <<'PY'
+import json, sys
+dump = json.load(open(sys.argv[1]))
+kept, recorded = len(dump["events"]), dump["recorded"]
+assert dump["capacity"] == 256, f"capacity {dump['capacity']} != 256"
+assert kept == min(dump["capacity"], recorded), \
+    f"dump keeps {kept} of capacity {dump['capacity']} ({recorded} recorded)"
+assert recorded == kept + dump["dropped"], \
+    f"recorded {recorded} != {kept} kept + {dump['dropped']} dropped"
+PY
 echo "== tier-1: obs smoke OK =="
 
 if [[ "${TSAN}" == "1" ]]; then

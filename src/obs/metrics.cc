@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 namespace chiron::obs {
 
@@ -30,7 +28,7 @@ void Gauge::raise_high_water(double v) {
 }
 
 Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {
+    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {
   if (bounds_.empty()) {
     throw std::invalid_argument("histogram needs at least one bound");
   }
@@ -38,18 +36,11 @@ Histogram::Histogram(std::vector<double> bounds)
       std::adjacent_find(bounds_.begin(), bounds_.end()) != bounds_.end()) {
     throw std::invalid_argument("histogram bounds must be strictly ascending");
   }
-  for (Stripe& s : stripes_) s.buckets.assign(bounds_.size() + 1, 0);
 }
 
 std::vector<double> Histogram::default_latency_bounds_ms() {
   return {1.0,   2.0,   5.0,   10.0,   20.0,   50.0,  100.0,
           200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0};
-}
-
-Histogram::Stripe& Histogram::stripe_for_current_thread() {
-  const std::size_t h =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return stripes_[h % kStripes];
 }
 
 void Histogram::observe(double x) {
@@ -59,22 +50,18 @@ void Histogram::observe(double x) {
       static_cast<std::size_t>(
           std::lower_bound(bounds_.begin(), bounds_.end(), x) -
           bounds_.begin());
-  Stripe& s = stripe_for_current_thread();
-  std::lock_guard<std::mutex> lock(s.mu);
-  ++s.buckets[bucket];
-  s.stats.add(x);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++buckets_[bucket];
+  stats_.add(x);
 }
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
   snap.bounds = bounds_;
-  snap.buckets.assign(bounds_.size() + 1, 0);
-  for (const Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
-      snap.buckets[i] += s.buckets[i];
-    }
-    snap.stats.merge(s.stats);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snap.buckets = buckets_;
+    snap.stats = stats_;
   }
   snap.count = snap.stats.count();
   snap.sum = snap.stats.mean() * static_cast<double>(snap.stats.count());

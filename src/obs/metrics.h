@@ -2,15 +2,12 @@
 // counters, gauges, and fixed-boundary latency histograms, exported as
 // JSON (chiron::json) or Prometheus text exposition format.
 //
-// Counters and gauges are single atomics; histograms stripe their buckets
-// and RunningStats over a small set of lock stripes (thread-hashed) so
-// concurrent engine threads rarely contend, and snapshots fold the stripes
-// together with RunningStats::merge (parallel Welford). Metric objects are
-// created on first use and live as long as the registry, so callers may
-// cache the returned references.
+// Counters and gauges are single atomics; a histogram guards its buckets
+// and RunningStats with one lock. Metric objects are created on first use
+// and live as long as the registry, so callers may cache the returned
+// references.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -55,7 +52,7 @@ class Gauge {
   std::atomic<double> high_water_{0.0};
 };
 
-/// Read-time view of a histogram: per-bucket counts plus merged moments.
+/// Read-time view of a histogram: per-bucket counts plus moments.
 struct HistogramSnapshot {
   std::vector<double> bounds;          ///< inclusive upper bounds, ascending
   std::vector<std::uint64_t> buckets;  ///< bounds.size()+1 (last = overflow)
@@ -79,17 +76,10 @@ class Histogram {
   static std::vector<double> default_latency_bounds_ms();
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    RunningStats stats;
-    std::vector<std::uint64_t> buckets;
-  };
-  static constexpr std::size_t kStripes = 8;
-
-  Stripe& stripe_for_current_thread();
-
   std::vector<double> bounds_;
-  std::array<Stripe, kStripes> stripes_;
+  mutable std::mutex mu_;               ///< guards buckets_ and stats_
+  std::vector<std::uint64_t> buckets_;  ///< bounds_.size()+1
+  RunningStats stats_;
 };
 
 /// Named metric store with get-or-create semantics.

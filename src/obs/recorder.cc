@@ -4,8 +4,6 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <thread>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -45,11 +43,8 @@ std::uint64_t mint_request_ids(std::uint64_t n) {
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : epoch_(std::chrono::steady_clock::now()) {
-  const std::size_t per_stripe =
-      std::max<std::size_t>(1, (capacity + kStripes - 1) / kStripes);
-  for (Stripe& s : stripes_) s.ring.resize(per_stripe);
-}
+    : epoch_(std::chrono::steady_clock::now()),
+      ring_(std::max<std::size_t>(1, capacity)) {}
 
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder recorder;
@@ -57,46 +52,20 @@ FlightRecorder& FlightRecorder::global() {
 }
 
 void FlightRecorder::set_capacity(std::size_t capacity) {
-  const std::size_t per_stripe =
-      std::max<std::size_t>(1, (capacity + kStripes - 1) / kStripes);
-  for (Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.ring.assign(per_stripe, RecorderEvent{});
-    s.written = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ring_.assign(std::max<std::size_t>(1, capacity), RecorderEvent{});
+  written_ = 0;
 }
 
 std::size_t FlightRecorder::capacity() const {
-  std::size_t total = 0;
-  for (const Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += s.ring.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return ring_.size();
 }
 
 double FlightRecorder::now_ms() const {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - epoch_)
       .count();
-}
-
-namespace {
-// -1 = unbound (hash placement); otherwise the bound stripe index.
-thread_local std::ptrdiff_t t_stripe_hint = -1;
-}  // namespace
-
-void FlightRecorder::bind_thread_stripe(std::size_t index) {
-  t_stripe_hint = static_cast<std::ptrdiff_t>(index % kStripes);
-}
-
-FlightRecorder::Stripe& FlightRecorder::stripe_for_current_thread() {
-  if (t_stripe_hint >= 0) {
-    return stripes_[static_cast<std::size_t>(t_stripe_hint)];
-  }
-  const std::size_t h =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return stripes_[h % kStripes];
 }
 
 void FlightRecorder::record(RecKind kind, std::uint64_t request,
@@ -106,46 +75,36 @@ void FlightRecorder::record(RecKind kind, std::uint64_t request,
   RecorderEvent ev;
   ev.ts_ms = ts_ms;
   ev.value = value;
-  ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   ev.request = request;
   ev.attempt = attempt;
   ev.node = node;
   ev.kind = kind;
-  Stripe& s = stripe_for_current_thread();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.ring[s.written % s.ring.size()] = ev;
-  ++s.written;
+  std::lock_guard<std::mutex> lock(mu_);
+  ev.seq = written_;
+  ring_[written_ % ring_.size()] = ev;
+  ++written_;
 }
 
 std::uint64_t FlightRecorder::recorded_count() const {
-  std::uint64_t total = 0;
-  for (const Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += s.written;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return written_;
 }
 
 std::uint64_t FlightRecorder::dropped_count() const {
-  std::uint64_t dropped = 0;
-  for (const Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.written > s.ring.size()) dropped += s.written - s.ring.size();
-  }
-  return dropped;
+  std::lock_guard<std::mutex> lock(mu_);
+  return written_ > ring_.size() ? written_ - ring_.size() : 0;
 }
 
 void FlightRecorder::snapshot_into(std::vector<RecorderEvent>& out) const {
-  for (const Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    const std::size_t kept = std::min<std::uint64_t>(s.written, s.ring.size());
-    out.insert(out.end(), s.ring.begin(),
-               s.ring.begin() + static_cast<std::ptrdiff_t>(kept));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const RecorderEvent& a, const RecorderEvent& b) {
-              return a.seq < b.seq;
-            });
+  std::lock_guard<std::mutex> lock(mu_);
+  // Once wrapped, the oldest retained event sits at the next write slot;
+  // reading forward from it yields ascending seq.
+  const auto split = static_cast<std::ptrdiff_t>(
+      written_ > ring_.size() ? written_ % ring_.size() : 0);
+  const auto end = static_cast<std::ptrdiff_t>(
+      std::min<std::uint64_t>(written_, ring_.size()));
+  out.insert(out.end(), ring_.begin() + split, ring_.begin() + end);
+  out.insert(out.end(), ring_.begin(), ring_.begin() + split);
 }
 
 std::vector<RecorderEvent> FlightRecorder::snapshot() const {
@@ -255,29 +214,26 @@ bool FlightRecorder::auto_dump() {
 }
 
 void FlightRecorder::clear() {
-  for (Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.written = 0;
-  }
-  seq_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  written_ = 0;
 }
 
 // --- fatal-signal post-mortem dump ------------------------------------------
 //
 // Everything below runs inside a signal handler, so it is restricted to
 // async-signal-safe calls: open/write/close and snprintf into stack
-// buffers. The recorder's rings are read without locking — the process is
+// buffers. The recorder's ring is read without locking — the process is
 // crashing, and a rare torn slot beats losing the whole black box.
 
 namespace {
 
 char g_signal_path[512] = {0};
-// The handler needs the stripes; FlightRecorder grants access by passing a
+// The handler needs the ring; FlightRecorder grants access by passing a
 // plain view at install time (no locks are taken in the handler).
 struct SignalView {
-  const RecorderEvent* ring[FlightRecorder::kStripes] = {nullptr};
-  std::size_t ring_size[FlightRecorder::kStripes] = {0};
-  const std::uint64_t* written[FlightRecorder::kStripes] = {nullptr};
+  const RecorderEvent* ring = nullptr;
+  std::size_t ring_size = 0;
+  const std::uint64_t* written = nullptr;
 };
 SignalView g_signal_view;
 
@@ -289,15 +245,13 @@ void signal_dump_handler(int signo) {
                           "{\"signal\": %d, \"recorder_dump\": true}\n",
                           signo);
     if (n > 0) (void)!::write(fd, line, static_cast<std::size_t>(n));
-    for (std::size_t st = 0; st < FlightRecorder::kStripes; ++st) {
-      const RecorderEvent* ring = g_signal_view.ring[st];
-      if (!ring) continue;
-      const std::uint64_t written = *g_signal_view.written[st];
-      const std::size_t size = g_signal_view.ring_size[st];
-      const std::size_t kept =
-          static_cast<std::size_t>(std::min<std::uint64_t>(written, size));
-      for (std::size_t i = 0; i < kept; ++i) {
-        const RecorderEvent& ev = ring[i];
+    if (g_signal_view.ring) {
+      const std::uint64_t written = *g_signal_view.written;
+      const std::size_t size = g_signal_view.ring_size;
+      // Oldest retained event first, as in snapshot().
+      const std::uint64_t first = written > size ? written - size : 0;
+      for (std::uint64_t i = first; i < written; ++i) {
+        const RecorderEvent& ev = g_signal_view.ring[i % size];
         n = std::snprintf(
             line, sizeof(line),
             "{\"ts_ms\": %.3f, \"seq\": %llu, \"kind\": \"%s\", "
@@ -321,11 +275,9 @@ void signal_dump_handler(int signo) {
 
 void FlightRecorder::install_signal_dump(const std::string& path) {
   std::snprintf(g_signal_path, sizeof(g_signal_path), "%s", path.c_str());
-  for (std::size_t i = 0; i < kStripes; ++i) {
-    g_signal_view.ring[i] = stripes_[i].ring.data();
-    g_signal_view.ring_size[i] = stripes_[i].ring.size();
-    g_signal_view.written[i] = &stripes_[i].written;
-  }
+  g_signal_view.ring = ring_.data();
+  g_signal_view.ring_size = ring_.size();
+  g_signal_view.written = &written_;
   for (int signo : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL}) {
     std::signal(signo, signal_dump_handler);
   }

@@ -1,14 +1,14 @@
 // FlightRecorder — the always-on half of the observability layer: a
-// fixed-capacity, striped ring buffer of compact structured events that is
-// cheap enough to leave enabled while serving production traffic.
+// fixed-capacity ring buffer of compact structured events that is cheap
+// enough to leave enabled while serving production traffic.
 //
 // Unlike the Tracer (rich string-y Chrome events, intended for bounded
-// diagnostic runs), the recorder stores fixed-size PODs in pre-allocated
-// rings: recording is one relaxed atomic load (when disabled), or a
-// thread-hashed stripe lock plus a 40-byte slot write (when enabled).
-// When a stripe wraps, the oldest event in that stripe is overwritten and
-// the drop is counted — memory is bounded by construction, and
-// recorded == snapshot + dropped always holds.
+// diagnostic runs), the recorder stores fixed-size PODs in one
+// pre-allocated ring: recording is one relaxed atomic load (when
+// disabled), or one lock plus a 40-byte slot write (when enabled). When
+// the ring wraps, the oldest event is overwritten and the drop is counted
+// — memory is bounded by construction, and recorded == snapshot + dropped
+// always holds.
 //
 // Events carry a request id and attempt number, so the full causal
 // timeline of any request (admission → attempts → faults/retries →
@@ -19,7 +19,6 @@
 // post-mortems.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -64,7 +63,7 @@ const char* to_string(RecKind kind);
 struct RecorderEvent {
   double ts_ms = 0.0;        ///< wall ms since recorder epoch, or sim time
   double value = 0.0;        ///< kind-specific payload (see RecKind)
-  std::uint64_t seq = 0;     ///< global record order (sort key)
+  std::uint64_t seq = 0;     ///< record order: the recorder's write index
   std::uint64_t request = 0; ///< request/trace id; 0 = not request-scoped
   std::uint32_t attempt = 0; ///< 1-based attempt, or task index; 0 = n/a
   std::int32_t node = -1;    ///< cluster node id; -1 = not node-scoped
@@ -77,14 +76,11 @@ struct RecorderEvent {
 /// request ids in the shared recorder/tracer.
 std::uint64_t mint_request_ids(std::uint64_t n);
 
-/// Fixed-capacity striped ring buffer of RecorderEvents.
+/// Fixed-capacity ring buffer of RecorderEvents.
 class FlightRecorder {
  public:
-  static constexpr std::size_t kStripes = 8;
-
-  /// `capacity` is the total event budget, split evenly across stripes
-  /// (rounded up; at least one slot per stripe). All slots are allocated
-  /// here — record() never allocates.
+  /// `capacity` is the event budget (at least one slot). All slots are
+  /// allocated here — record() never allocates.
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
   /// The process-wide recorder instrumented library code reports to.
@@ -95,7 +91,7 @@ class FlightRecorder {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Re-sizes the rings (drops everything recorded so far).
+  /// Re-sizes the ring (drops everything recorded so far).
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const;
 
@@ -103,18 +99,9 @@ class FlightRecorder {
   /// simulators can stamp simulated clocks; wall-clock callers pass
   /// now_ms(). `node` tags events from sharded cluster runs with the
   /// serving node id (-1 = not node-scoped). Oldest events are
-  /// overwritten when a stripe is full.
+  /// overwritten when the ring is full.
   void record(RecKind kind, std::uint64_t request, std::uint32_t attempt,
               double ts_ms, double value = 0.0, std::int32_t node = -1);
-
-  /// Pins the calling thread to stripe `index % kStripes` for every
-  /// subsequent record() (process-wide: the hint applies to all
-  /// recorders). Long-lived workers — e.g. the windowed cluster engine's
-  /// window workers — bind distinct indices so each worker owns one
-  /// stripe: no two workers contend on a stripe lock, and per-worker
-  /// write order is preserved within its stripe. Unbound threads keep
-  /// the thread-id-hash placement.
-  static void bind_thread_stripe(std::size_t index);
 
   /// Wall-clock milliseconds since this recorder's epoch (steady clock).
   double now_ms() const;
@@ -122,7 +109,7 @@ class FlightRecorder {
   std::uint64_t recorded_count() const;  ///< events accepted (incl. dropped)
   std::uint64_t dropped_count() const;   ///< events overwritten by wraps
 
-  /// All retained events in global record order (seq-sorted).
+  /// All retained events in record order (ascending seq).
   std::vector<RecorderEvent> snapshot() const;
 
   /// The retained events of one request, sorted by (ts_ms, seq) — its
@@ -140,7 +127,7 @@ class FlightRecorder {
   /// failure.
   bool write(const std::string& path) const;
 
-  /// Publishes chiron.recorder.{recorded,dropped,events} gauges to the
+  /// Publishes chiron.recorder.{recorded,dropped,capacity} gauges to the
   /// global MetricsRegistry (called before /metrics scrapes).
   void publish_metrics() const;
 
@@ -161,7 +148,7 @@ class FlightRecorder {
   /// concurrently-written slot may serialise torn. Only one recorder per
   /// process can be the post-mortem target; later calls re-point it.
   /// Call after the final set_capacity() — the handler snapshots the ring
-  /// storage addresses at install time.
+  /// storage address at install time.
   void install_signal_dump(const std::string& path);
 
   /// Drops all recorded events and resets the counters.
@@ -170,21 +157,15 @@ class FlightRecorder {
  private:
   static constexpr std::size_t kDefaultCapacity = 65536;
 
-  struct Stripe {
-    mutable std::mutex mu;
-    std::vector<RecorderEvent> ring;  ///< pre-allocated, never resized
-    std::uint64_t written = 0;        ///< total writes; slot = written % size
-  };
-
-  Stripe& stripe_for_current_thread();
   void snapshot_into(std::vector<RecorderEvent>& out) const;
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::uint64_t> auto_dumps_{0};
   std::chrono::steady_clock::time_point epoch_;
-  std::array<Stripe, kStripes> stripes_;
-  mutable std::mutex config_mu_;  ///< guards auto_dump_path_
+  mutable std::mutex mu_;            ///< guards ring_ and written_
+  std::vector<RecorderEvent> ring_;  ///< sized only by set_capacity()
+  std::uint64_t written_ = 0;        ///< total writes; slot = written_ % size
+  mutable std::mutex config_mu_;     ///< guards auto_dump_path_
   std::string auto_dump_path_;
 };
 

@@ -18,16 +18,13 @@
 #include "metrics/stats.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 #include "platform/cluster_internal.h"
 #include "sim/event_queue.h"
 
 namespace chiron {
 
-// The recorder-kind mapping and the capacity floor live in
-// cluster_internal.h, shared with the windowed engine
-// (cluster_parallel.cc).
-using cluster_detail::fault_rec_kind;
+// The capacity floor lives in cluster_internal.h, shared with the
+// windowed engine (cluster_parallel.cc).
 using cluster_detail::floor_capacity;
 
 namespace {
@@ -137,22 +134,16 @@ ClusterResult ClusterSimulator::run_prepared_reference(
   ClusterResult result;
   result.offered = arrival_times.size();
 
-  // Request causality: every request of this run carries a process-unique
-  // trace id from the pre-minted block; recorder and tracer events are
-  // keyed by it. Fault decisions keep hashing the arrival *index*, so the
-  // minted ids never change a seeded run's outcome.
+  // The reference attaches no tracer or recorder, but reports the minted
+  // id block so its result compares equal to the engine's. Fault
+  // decisions hash the arrival *index*, never the minted id.
   result.request_id_base = id_base;
 
   const FaultInjector injector(config_.faults);
   const RetryPolicy& retry = config_.retry;
   const bool has_timeout = retry.timeout_ms > 0.0;
 
-  // Observability sinks: all cluster events carry *simulated* timestamps.
-  obs::Tracer* tracer =
-      config_.tracer && config_.tracer->enabled() ? config_.tracer : nullptr;
   obs::MetricsRegistry* metrics = config_.metrics;
-  const int request_track =
-      tracer ? tracer->new_track("cluster.requests", obs::kVirtualPid) : 0;
   obs::Counter* cold_counter =
       metrics ? &metrics->counter("cluster.cold_starts") : nullptr;
   obs::Gauge* queue_gauge =
@@ -165,30 +156,13 @@ ClusterResult ClusterSimulator::run_prepared_reference(
       metrics ? &metrics->counter("chiron.retry.attempts") : nullptr;
   obs::Counter* timeout_counter =
       metrics ? &metrics->counter("chiron.request.timeout") : nullptr;
-  obs::FlightRecorder* recorder =
-      config_.recorder && config_.recorder->enabled() ? config_.recorder
-                                                      : nullptr;
 
-  // The process-unique trace id of arrival `id`.
-  auto rid = [id_base](std::uint64_t id) { return id_base + id; };
-
-  auto count_fault = [&](FaultKind kind, std::uint64_t id,
-                         std::uint32_t attempt, TimeMs now,
-                         double value = 0.0) {
+  auto count_fault = [&](FaultKind kind) {
     if (fault_counter) fault_counter->inc();
     if (metrics) {
       metrics
           ->counter(std::string("chiron.fault.injected.") + to_string(kind))
           .inc();
-    }
-    if (tracer) {
-      tracer->instant_at(std::string("fault.") + to_string(kind), "fault",
-                         obs::kVirtualPid, request_track, now,
-                         {{"request", static_cast<double>(rid(id))},
-                          {"attempt", static_cast<double>(attempt)}});
-    }
-    if (recorder) {
-      recorder->record(fault_rec_kind(kind), rid(id), attempt, now, value);
     }
   };
 
@@ -219,13 +193,8 @@ ClusterResult ClusterSimulator::run_prepared_reference(
   // Waiting request ids; timed-out entries are erased eagerly.
   std::deque<std::uint64_t> queue;
 
-  auto note_queue_depth = [&](TimeMs now) {
+  auto note_queue_depth = [&] {
     if (queue_gauge) queue_gauge->set(static_cast<double>(queue.size()));
-    if (tracer) {
-      tracer->counter_at("cluster.queue_depth",
-                         static_cast<double>(queue.size()), obs::kVirtualPid,
-                         0, now);
-    }
   };
 
   std::vector<double> latencies;
@@ -265,13 +234,6 @@ ClusterResult ClusterSimulator::run_prepared_reference(
     }
   };
 
-  auto end_request_span = [&](std::uint64_t id, TimeMs now) {
-    if (tracer) {
-      tracer->async_end_at("request", "sim", obs::kVirtualPid, request_track,
-                           now, rid(id));
-    }
-  };
-
   // Pops the next still-live queued request, skipping tombstones left by
   // timeouts (defensive: timeouts erase eagerly, so skips are rare).
   auto take_queued = [&]() -> std::optional<std::uint64_t> {
@@ -297,16 +259,6 @@ ClusterResult ClusterSimulator::run_prepared_reference(
       ++result.retried;
       if (retry_counter) retry_counter->inc();
       const TimeMs backoff = injector.retry_backoff_ms(retry, r.attempt, id);
-      if (tracer) {
-        tracer->complete_at("retry.backoff", "fault", obs::kVirtualPid,
-                            request_track, t, extra_delay + backoff,
-                            {{"attempt", static_cast<double>(r.attempt)},
-                             {"request", static_cast<double>(rid(id))}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kRetryBackoff, rid(id), r.attempt, t,
-                         extra_delay + backoff);
-      }
       ++r.attempt;
       r.phase = ReqState::Phase::kBackoff;
       r.pending_ev = events.schedule(
@@ -314,11 +266,7 @@ ClusterResult ClusterSimulator::run_prepared_reference(
           [&, id] { start_request(id, events.now()); });
     } else {
       ++result.dropped;
-      if (recorder) {
-        recorder->record(obs::RecKind::kDrop, rid(id), r.attempt, t);
-      }
       finalize(id);
-      end_request_span(id, t);
     }
   };
 
@@ -331,12 +279,7 @@ ClusterResult ClusterSimulator::run_prepared_reference(
     TimeMs service = backend.run(run_rng).e2e_latency_ms;
     if (injector.straggles(id, r.attempt)) {
       service *= config_.faults.straggler_multiplier;
-      count_fault(FaultKind::kStraggler, id, r.attempt, now,
-                  config_.faults.straggler_multiplier);
-    }
-    if (recorder) {
-      recorder->record(obs::RecKind::kServiceBegin, rid(id), r.attempt, now,
-                       service);
+      count_fault(FaultKind::kStraggler);
     }
     if (injector.crashes(id, r.attempt)) {
       const TimeMs crash_at =
@@ -345,11 +288,11 @@ ClusterResult ClusterSimulator::run_prepared_reference(
         account(crash_at);
         --busy;
         --live;  // the crash takes the sandbox with it
-        count_fault(FaultKind::kCrash, id, reqs[id].attempt, crash_at);
+        count_fault(FaultKind::kCrash);
         fail_attempt(id, crash_at, 0.0);
         // The crash freed a slot: a queued request can now cold-start.
         if (const auto qid = take_queued()) {
-          note_queue_depth(crash_at);
+          note_queue_depth();
           start_request(*qid, crash_at);
         }
       });
@@ -362,15 +305,10 @@ ClusterResult ClusterSimulator::run_prepared_reference(
       const TimeMs latency = finish - reqs[id].arrival;
       latencies.push_back(latency);
       ++result.completed;
-      if (recorder) {
-        recorder->record(obs::RecKind::kComplete, rid(id),
-                         reqs[id].attempt, finish, latency);
-      }
       finalize(id);
       if (latency_hist) latency_hist->observe(latency);
-      end_request_span(id, finish);
       if (const auto qid = take_queued()) {
-        note_queue_depth(finish);
+        note_queue_depth();
         // The finishing instance is handed to the queued request directly:
         // it never visits the warm pool, so reap() cannot reclaim it out
         // from under the handoff (the keep_alive_ms == 0 cold-start bug).
@@ -394,7 +332,7 @@ ClusterResult ClusterSimulator::run_prepared_reference(
       if (injector.cold_start_fails(id, r.attempt)) {
         // The sandbox dies during boot: the boot time is still paid (it
         // delays the retry) but no instance comes up.
-        count_fault(FaultKind::kColdStart, id, r.attempt, now, cold_penalty);
+        count_fault(FaultKind::kColdStart);
         fail_attempt(id, now, cold_penalty);
         return;
       }
@@ -402,25 +340,12 @@ ClusterResult ClusterSimulator::run_prepared_reference(
       result.peak_instances = std::max(result.peak_instances, live);
       ++result.cold_starts;
       if (cold_counter) cold_counter->inc();
-      if (tracer) {
-        tracer->instant_at("cluster.cold_start", "sim", obs::kVirtualPid,
-                           request_track, now,
-                           {{"request", static_cast<double>(rid(id))}});
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kColdStart, rid(id), r.attempt, now,
-                         cold_penalty);
-      }
       begin_service(id, now, cold_penalty);
     } else {
       r.phase = ReqState::Phase::kQueued;
       queue.push_back(id);
       result.peak_queue = std::max(result.peak_queue, queue.size());
-      if (recorder) {
-        recorder->record(obs::RecKind::kQueue, rid(id), r.attempt, now,
-                         static_cast<double>(queue.size()));
-      }
-      note_queue_depth(now);
+      note_queue_depth();
     }
   };
 
@@ -430,19 +355,11 @@ ClusterResult ClusterSimulator::run_prepared_reference(
     r.has_timeout_ev = false;
     ++result.timed_out;
     if (timeout_counter) timeout_counter->inc();
-    if (tracer) {
-      tracer->instant_at("request.timeout", "fault", obs::kVirtualPid,
-                         request_track, deadline,
-                         {{"request", static_cast<double>(rid(id))}});
-    }
-    if (recorder) {
-      recorder->record(obs::RecKind::kTimeout, rid(id), r.attempt, deadline);
-    }
     switch (r.phase) {
       case ReqState::Phase::kQueued: {
         const auto it = std::find(queue.begin(), queue.end(), id);
         if (it != queue.end()) queue.erase(it);
-        note_queue_depth(deadline);
+        note_queue_depth();
         break;
       }
       case ReqState::Phase::kRunning: {
@@ -451,7 +368,7 @@ ClusterResult ClusterSimulator::run_prepared_reference(
         account(deadline);
         --busy;
         if (const auto qid = take_queued()) {
-          note_queue_depth(deadline);
+          note_queue_depth();
           reap(deadline);
           begin_service(*qid, deadline, 0.0);
         } else {
@@ -466,7 +383,6 @@ ClusterResult ClusterSimulator::run_prepared_reference(
         break;
     }
     r.phase = ReqState::Phase::kDone;
-    end_request_span(id, deadline);
   };
 
   for (std::size_t i = 0; i < arrival_times.size(); ++i) {
@@ -474,13 +390,6 @@ ClusterResult ClusterSimulator::run_prepared_reference(
     const std::uint64_t id = i;
     reqs[id].arrival = at;
     events.schedule(at, [&, at, id] {
-      if (tracer) {
-        tracer->async_begin_at("request", "sim", obs::kVirtualPid,
-                               request_track, at, rid(id));
-      }
-      if (recorder) {
-        recorder->record(obs::RecKind::kAdmit, rid(id), 1, at);
-      }
       if (has_timeout) {
         reqs[id].has_timeout_ev = true;
         reqs[id].timeout_ev =

@@ -229,7 +229,8 @@ class ClusterSimulator {
   /// kernels). It pools every node's resources into one cluster-wide
   /// capacity with a single warm pool and queue, so config.nodes only
   /// scales the capacity and config.router / faults.node_crash are
-  /// ignored. ClusterParityTest asserts the engine at nodes == 1 (with
+  /// ignored. It also ignores config.tracer and config.recorder: only
+  /// config.metrics receives its telemetry. ClusterParityTest asserts the engine at nodes == 1 (with
   /// the node scaled to the pool) produces bit-identical ClusterResults
   /// across randomized configs, and bench_micro_cluster measures the
   /// engine's speedup against it.

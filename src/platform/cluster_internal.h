@@ -1,7 +1,7 @@
 // Internals shared between the reference loop (cluster.cc) and the
-// windowed engine (cluster_parallel.cc): the recorder-kind mapping and
-// the capacity arithmetic, kept in one place so both perform the
-// identical float arithmetic — not linked for external use.
+// windowed engine (cluster_parallel.cc): the capacity arithmetic, kept in
+// one place so both perform the identical float arithmetic — not linked
+// for external use.
 #pragma once
 
 #include <algorithm>
@@ -10,23 +10,10 @@
 #include <limits>
 #include <vector>
 
-#include "fault/fault.h"
-#include "obs/recorder.h"
 #include "platform/cluster.h"
 
 namespace chiron {
 namespace cluster_detail {
-
-/// Recorder event kind for an injected fault.
-inline obs::RecKind fault_rec_kind(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kColdStart: return obs::RecKind::kFaultColdStart;
-    case FaultKind::kCrash: return obs::RecKind::kFaultCrash;
-    case FaultKind::kStraggler: return obs::RecKind::kFaultStraggler;
-    case FaultKind::kNodeCrash: return obs::RecKind::kNodeCrash;
-    default: return obs::RecKind::kFaultTransfer;
-  }
-}
 
 /// Floors a fractional instance count with a relative epsilon: a resource
 /// ratio that lands an ulp below an exact integer (40 / (40/3.0) =

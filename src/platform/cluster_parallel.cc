@@ -57,6 +57,7 @@
 
 #include "common/log.h"
 #include "common/thread_pool.h"
+#include "fault/fault.h"
 #include "metrics/stats.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -70,6 +71,17 @@
 namespace chiron {
 namespace cluster_detail {
 namespace {
+
+/// Recorder event kind for an injected fault.
+obs::RecKind fault_rec_kind(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kColdStart: return obs::RecKind::kFaultColdStart;
+    case FaultKind::kCrash: return obs::RecKind::kFaultCrash;
+    case FaultKind::kStraggler: return obs::RecKind::kFaultStraggler;
+    case FaultKind::kNodeCrash: return obs::RecKind::kNodeCrash;
+    default: return obs::RecKind::kFaultTransfer;
+  }
+}
 
 /// A shard heap's typed POD event: the whole per-request state machine
 /// dispatches on {kind, request id} — no per-event closures. kRetry
@@ -1102,7 +1114,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     worker_done.reserve(worker_count);
     for (std::size_t w = 0; w < worker_count; ++w) {
       worker_done.push_back(pool->submit([&, w] {
-        obs::FlightRecorder::bind_thread_stripe(w);
         std::uint64_t seen = 0;
         double window_end = 0.0;
         while (barrier->wait_open(&seen, &window_end)) {

@@ -72,8 +72,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConflictedWorkflowSweep,
                          ::testing::Range(0, 10));
 
 TEST(StressTest, AllThreadWorkflowHandlesWideStage) {
-  // 64 functions in one stage, all threads: the GIL engine and predictor
-  // must stay consistent at width.
+  // 64 functions in one stage, all threads: a zero-noise backend serves
+  // the prediction bit for bit, even at width.
   SyntheticSpec spec;
   spec.min_stages = 1;
   spec.max_stages = 1;
@@ -95,8 +95,7 @@ TEST(StressTest, AllThreadWorkflowHandlesWideStage) {
   quiet.gil_handoff_ms = 0.0;
   WrapPlanBackend backend("wide", RuntimeParams::defaults(), wf, plan, quiet);
   Rng run_rng(8);
-  EXPECT_NEAR(backend.run(run_rng).e2e_latency_ms, predicted,
-              predicted * 0.02);
+  EXPECT_EQ(backend.run(run_rng).e2e_latency_ms, predicted);
 }
 
 class PredictorAgreementSweep : public ::testing::TestWithParam<int> {};
@@ -104,7 +103,7 @@ class PredictorAgreementSweep : public ::testing::TestWithParam<int> {};
 TEST_P(PredictorAgreementSweep, PredictorMatchesNoiselessSimulator) {
   // With every unmodeled effect switched off, the Predictor and the
   // ground-truth backend are built from the same engines and equations,
-  // so they must agree tightly on ANY workflow and plan shape.
+  // so they must agree exactly on ANY workflow and plan shape.
   SyntheticSpec spec;
   spec.max_parallelism = 8;
   Rng rng(3000 + GetParam());
@@ -128,7 +127,7 @@ TEST_P(PredictorAgreementSweep, PredictorMatchesNoiselessSimulator) {
     Rng run_rng(11);
     const TimeMs actual = backend.run(run_rng).e2e_latency_ms;
     const TimeMs predicted = predictor.workflow_latency(plan);
-    EXPECT_NEAR(predicted, actual, std::max(actual * 0.01, 0.05))
+    EXPECT_EQ(predicted, actual)
         << wf.name() << " plan with " << plan.sandbox_count() << " wraps";
   }
 }

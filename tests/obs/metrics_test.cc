@@ -76,7 +76,7 @@ TEST(HistogramTest, ConcurrentObserversLoseNothing) {
   EXPECT_EQ(snap.buckets[0], static_cast<std::uint64_t>(kSamples));
   EXPECT_EQ(snap.buckets[1],
             static_cast<std::uint64_t>(kThreads - 1) * kSamples);
-  // The striped RunningStats merge to the exact global moments.
+  // Every thread's samples land in the exact global moments.
   EXPECT_DOUBLE_EQ(snap.stats.min(), 0.0);
   EXPECT_DOUBLE_EQ(snap.stats.max(), static_cast<double>(kThreads - 1));
   EXPECT_NEAR(snap.stats.mean(), 3.5, 1e-9);

@@ -152,9 +152,8 @@ TEST(ObsServerTest, LargeRecorderPayloadRoundTripsIntact) {
   // bodies; a serve loop that fired send() once truncated the JSON
   // mid-flight. Fill the recorder until /recorder weighs megabytes and
   // assert the body parses and carries every event.
-  // All events come from this one thread, i.e. one stripe: size the
-  // recorder so that stripe alone holds the full 100k.
-  FlightRecorder recorder(FlightRecorder::kStripes * 100000);
+  // The recorder is sized well past the 100k events, so none is dropped.
+  FlightRecorder recorder(800000);
   recorder.set_enabled(true);
   for (std::uint64_t i = 0; i < 100000; ++i) {
     recorder.record(RecKind::kMark, i + 1, 1,

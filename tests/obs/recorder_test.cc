@@ -62,36 +62,13 @@ TEST(ObsRecorderTest, TimelineFiltersOneRequest) {
   EXPECT_EQ(t[0].request, 2u);
 }
 
-TEST(ObsRecorderTest, BoundStripeWriterOwnsExactlyOneStripe) {
-  // A thread that binds a stripe index writes only that stripe: with 2
-  // slots per stripe, a bound writer's survivors are exactly that
-  // stripe's ring, however many events it records. The binding is
-  // thread-local, so it is taken on a scratch thread (it must never leak
-  // into later tests via the main thread).
-  FlightRecorder rec(16);  // 2 slots per stripe
-  rec.set_enabled(true);
-  std::thread writer([&] {
-    FlightRecorder::bind_thread_stripe(3);
-    for (std::uint64_t i = 0; i < 50; ++i) {
-      rec.record(RecKind::kMark, i + 1, 0, static_cast<double>(i));
-    }
-  });
-  writer.join();
-  EXPECT_EQ(rec.recorded_count(), 50u);
-  const std::vector<RecorderEvent> kept = rec.snapshot();
-  EXPECT_EQ(kept.size(), 2u);  // one stripe's ring, not a hash spread
-  EXPECT_EQ(kept.size() + rec.dropped_count(), 50u);
-  // The survivors are the newest records of the bound stripe.
-  EXPECT_EQ(kept.back().request, 50u);
-}
-
-TEST(ObsRecorderTest, ConcurrentBoundStripesConserveAndTimelinesTimeSort) {
-  // The windowed cluster engine's pattern: W persistent workers, each
-  // bound to its own stripe, recording one shared request's events with
-  // interleaved simulated timestamps. Conservation must hold exactly
-  // (recorded == retained + dropped) and the per-request timeline must
-  // come back (ts_ms, seq)-ordered even though the global seq order —
-  // wall-clock race order across workers — scrambles simulated time.
+TEST(ObsRecorderTest, ConcurrentWorkersConserveAndTimelinesTimeSort) {
+  // The windowed cluster engine's pattern: W persistent workers recording
+  // one shared request's events with interleaved simulated timestamps.
+  // Conservation must hold exactly (recorded == retained + dropped) and
+  // the per-request timeline must come back (ts_ms, seq)-ordered even
+  // though the seq order — wall-clock race order across workers —
+  // scrambles simulated time.
   constexpr std::size_t kWorkers = 4;
   constexpr std::uint64_t kPerWorker = 400;
   FlightRecorder rec(8192);  // large enough: nothing dropped
@@ -99,7 +76,6 @@ TEST(ObsRecorderTest, ConcurrentBoundStripesConserveAndTimelinesTimeSort) {
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&, w] {
-      FlightRecorder::bind_thread_stripe(w);
       for (std::uint64_t i = 0; i < kPerWorker; ++i) {
         // Worker w stamps times w, w + kWorkers, w + 2*kWorkers, ... so
         // the merged time order interleaves all four workers.
@@ -132,30 +108,32 @@ TEST(ObsRecorderTest, ConcurrentBoundStripesConserveAndTimelinesTimeSort) {
 }
 
 TEST(ObsRecorderTest, WraparoundDropsOldestAndConservesCounts) {
-  // One writer thread lands in one stripe, so its visible window is that
-  // stripe's ring; everything older is dropped-oldest.
-  FlightRecorder rec(16);  // 2 slots per stripe
+  // Past capacity the ring overwrites its oldest slot: exactly the 16
+  // newest records survive, in record order, and the rest count dropped.
+  constexpr std::uint64_t kCapacity = 16;
+  FlightRecorder rec(kCapacity);
   rec.set_enabled(true);
   const std::uint64_t total = 100;
   for (std::uint64_t i = 0; i < total; ++i) {
     rec.record(RecKind::kMark, i, 0, static_cast<double>(i));
   }
   EXPECT_EQ(rec.recorded_count(), total);
+  EXPECT_EQ(rec.dropped_count(), total - kCapacity);
   const std::vector<RecorderEvent> kept = rec.snapshot();
-  EXPECT_EQ(kept.size() + rec.dropped_count(), total);
-  ASSERT_FALSE(kept.empty());
-  // The survivors are the newest records.
-  EXPECT_EQ(kept.back().request, total - 1);
-  for (std::size_t i = 1; i < kept.size(); ++i) {
-    EXPECT_LT(kept[i - 1].seq, kept[i].seq);
+  ASSERT_EQ(kept.size(), kCapacity);
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].request, total - kCapacity + i);
+    EXPECT_EQ(kept[i].seq, total - kCapacity + i);
   }
 }
 
-TEST(ObsRecorderTest, CapacityIsSplitAcrossStripesRoundedUp) {
-  FlightRecorder rec(10);  // ceil(10/8) = 2 per stripe
-  EXPECT_EQ(rec.capacity(), 2 * FlightRecorder::kStripes);
-  rec.set_capacity(1);  // at least one slot per stripe
-  EXPECT_EQ(rec.capacity(), FlightRecorder::kStripes);
+TEST(ObsRecorderTest, CapacityIsExactWithOneSlotMinimum) {
+  FlightRecorder rec(10);
+  EXPECT_EQ(rec.capacity(), 10u);
+  rec.set_capacity(1);
+  EXPECT_EQ(rec.capacity(), 1u);
+  rec.set_capacity(0);  // at least one slot
+  EXPECT_EQ(rec.capacity(), 1u);
 }
 
 TEST(ObsRecorderTest, ClearResetsEverything) {

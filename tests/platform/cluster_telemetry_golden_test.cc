@@ -8,7 +8,7 @@
 //   - registry: the registry's JSON tree (counters, gauges with their
 //               high-water marks, histograms);
 //   - recorder: the recorder's events, in seq order at one thread and
-//               sorted at four (workers interleave their stripes);
+//               sorted at four (workers interleave their writes);
 //   - trace:    the Tracer's events as a sorted multiset, so only the
 //               order of events sharing one timestamp is free to change.
 // The draws cover cold-start, crash, straggler and node-crash faults,

@@ -789,6 +789,43 @@ TEST(ClusterFaultTest, RecorderYieldsCompleteCausalTimelinePerRequest) {
   EXPECT_EQ(dropped, r.dropped);
 }
 
+TEST(ClusterFaultTest, RecorderKeepsEveryConfiguredSlotAtAnyThreadCount) {
+  // A recorder sized far below a faulted run's event count keeps exactly
+  // its capacity — the newest events, whichever thread wrote them — and
+  // counts the rest dropped. The rate fans windows out to the workers at
+  // four threads, so worker and coordinator writes share the one ring.
+  constexpr std::uint64_t kCapacity = 512;
+  const SystemOptions opts = quiet_options();
+  const auto backend = make_system("Chiron", make_finra(5), opts);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("sim_threads " + std::to_string(threads));
+    obs::FlightRecorder recorder(kCapacity);
+    recorder.set_enabled(true);
+    obs::MetricsRegistry metrics;
+    ClusterConfig config = faulty_config();
+    config.nodes = 4;
+    config.router = RouterPolicy::kWarmAffinity;
+    config.horizon_ms = 300.0;
+    config.offered_rps = 40000.0;
+    config.sim_threads = threads;
+    config.recorder = &recorder;
+    config.metrics = &metrics;
+    ClusterSimulator(config, opts.params).run(*backend, 1);
+    if (threads > 1) {
+      EXPECT_GT(metrics.counter("cluster.sim.fanout_windows").value(), 0);
+    }
+
+    const std::uint64_t recorded = recorder.recorded_count();
+    ASSERT_GT(recorded, 8 * kCapacity);
+    const std::vector<obs::RecorderEvent> kept = recorder.snapshot();
+    ASSERT_EQ(kept.size(), kCapacity);
+    EXPECT_EQ(recorder.dropped_count(), recorded - kCapacity);
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      EXPECT_EQ(kept[i].seq, recorded - kCapacity + i) << "slot " << i;
+    }
+  }
+}
+
 TEST(ClusterFaultTest, MintedIdsKeepSeededRunsDeterministic) {
   // Request ids come from a process-global mint, so two identical seeded
   // runs get different id ranges — but the simulated outcome is byte-for-
