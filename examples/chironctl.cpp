@@ -28,7 +28,9 @@
 //
 // --faults arms seeded fault injection and runs the deployed plan
 // through the closed-loop cluster simulator. SPEC is a comma list, e.g.
-//   --faults cold=0.05,crash=0.02@0.5,straggler=0.1x4,transfer=0.05,seed=7
+//   --faults cold=0.05,crash=0.02@0.5,straggler=0.1x4,seed=7
+// The simulator does not inject transfer errors, so a non-zero
+// `transfer` key exits 2.
 // --retry sets max attempts per request (default 3 under faults) and
 // --timeout-ms arms a per-request deadline; both apply to that fault run.
 //
@@ -197,6 +199,13 @@ int main(int argc, char** argv) {
       }),
       value("--faults", [&](const std::string& v) {
         faults = parse_fault_spec(v);
+        // Transfer errors are a backend noise fault; the fault run's
+        // cluster simulator never draws them.
+        if (faults.transfer_error > 0.0) {
+          throw std::invalid_argument(
+              "'transfer' is not injected by the cluster simulator (use "
+              "cold, crash, straggler, node, seed)");
+        }
         fault_run = true;
       }),
       value("--retry", [&](const std::string& v) {

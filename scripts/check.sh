@@ -33,10 +33,8 @@ JOBS="${JOBS:-$(nproc)}"
 BUILD_DIR="${BUILD_DIR:-build}"
 
 echo "== tier-1: configure + build (${BUILD_DIR}) =="
-# No benchmark package: the micro suites time themselves (bench/harness.h).
 # -Werror keeps the tier-1 build warning-clean under -Wall -Wextra.
-cmake -B "${BUILD_DIR}" -S . -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON \
-  -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+cmake -B "${BUILD_DIR}" -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 echo "== tier-1: ctest =="

@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <cmath>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/log.h"
 
 namespace chiron::json {
 namespace {
@@ -319,6 +322,22 @@ std::string dump(const Value& value) {
   std::ostringstream os;
   dump_value(value, os);
   return os.str();
+}
+
+bool write_file(const std::string& path, const Value& value,
+                const char* sink) {
+  std::ofstream out(path);
+  if (!out) {
+    CHIRON_LOG(kError) << sink << ": cannot open '" << path
+                       << "' for writing";
+    return false;
+  }
+  out << dump(value);
+  if (!out) {
+    CHIRON_LOG(kError) << sink << ": write to '" << path << "' failed";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace chiron::json

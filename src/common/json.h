@@ -67,4 +67,10 @@ Value parse(const std::string& text);
 /// Serialises a value to compact JSON.
 std::string dump(const Value& value);
 
+/// Writes dump(value) to `path`. On an open or write failure logs
+/// "<sink>: cannot open ..." or "<sink>: write to ... failed" through
+/// CHIRON_LOG at kError and returns false; the caller logs success.
+bool write_file(const std::string& path, const Value& value,
+                const char* sink);
+
 }  // namespace chiron::json

@@ -35,19 +35,6 @@ FunctionBehavior truncate_behavior(const FunctionBehavior& behavior,
   return FunctionBehavior(std::move(kept));
 }
 
-void note_live_fault(FaultKind kind, std::uint64_t request_id,
-                     std::uint32_t task_cell, double value) {
-  obs::MetricsRegistry& m = obs::MetricsRegistry::global();
-  m.counter("chiron.fault.injected").inc();
-  m.counter(std::string("chiron.fault.injected.") + to_string(kind)).inc();
-  obs::FlightRecorder& rec = obs::FlightRecorder::global();
-  if (rec.enabled()) {
-    rec.record(kind == FaultKind::kCrash ? obs::RecKind::kFaultCrash
-                                         : obs::RecKind::kFaultStraggler,
-               request_id, task_cell, rec.now_ms(), value);
-  }
-}
-
 }  // namespace
 
 LiveFaultReport apply_faults(std::vector<ThreadTask>& tasks,
@@ -57,15 +44,21 @@ LiveFaultReport apply_faults(std::vector<ThreadTask>& tasks,
   report.crashed.assign(tasks.size(), false);
   if (!injector.enabled()) return report;
   const FaultSpec& spec = injector.spec();
+  obs::FlightRecorder& rec = obs::FlightRecorder::global();
+  auto note = [&](FaultKind kind, std::uint64_t cell, double value) {
+    count_injected(obs::MetricsRegistry::global(), kind);
+    if (rec.enabled()) {
+      rec.record(rec_kind(kind), request_id, static_cast<std::uint32_t>(cell),
+                 rec.now_ms(), value);
+    }
+  };
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const std::uint64_t cell = i + 1;
     if (injector.straggles(request_id, cell)) {
       tasks[i].behavior =
           tasks[i].behavior.scaled(spec.straggler_multiplier);
       ++report.stragglers;
-      note_live_fault(FaultKind::kStraggler, request_id,
-                      static_cast<std::uint32_t>(cell),
-                      spec.straggler_multiplier);
+      note(FaultKind::kStraggler, cell, spec.straggler_multiplier);
     }
     if (injector.crashes(request_id, cell)) {
       tasks[i].behavior = truncate_behavior(
@@ -73,8 +66,7 @@ LiveFaultReport apply_faults(std::vector<ThreadTask>& tasks,
           tasks[i].behavior.solo_latency() * spec.crash_point);
       report.crashed[i] = true;
       ++report.crashes;
-      note_live_fault(FaultKind::kCrash, request_id,
-                      static_cast<std::uint32_t>(cell), spec.crash_point);
+      note(FaultKind::kCrash, cell, spec.crash_point);
     }
   }
   return report;

@@ -27,8 +27,9 @@ struct LiveFaultReport {
 /// solo latency — the thread runs to that instant and dies, which is how
 /// a real mid-execution crash looks to the wall clock. Task i draws from
 /// decision cell (request_id, i + 1), so a seeded spec reproduces the
-/// same fault pattern run-to-run. Emits chiron.fault.injected[.<kind>]
-/// to the global MetricsRegistry.
+/// same fault pattern run-to-run. Counts each fault on the global
+/// MetricsRegistry (count_injected) and, when enabled, records it on the
+/// global FlightRecorder.
 LiveFaultReport apply_faults(std::vector<ThreadTask>& tasks,
                              const FaultInjector& injector,
                              std::uint64_t request_id = 0);

@@ -7,6 +7,8 @@
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
+#include "obs/recorder.h"
 
 namespace chiron {
 
@@ -31,6 +33,23 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kNodeCrash: return "node_crash";
   }
   return "unknown";
+}
+
+void count_injected(obs::MetricsRegistry& metrics, FaultKind kind,
+                    std::int64_t n) {
+  metrics.counter("chiron.fault.injected").inc(n);
+  metrics.counter(std::string("chiron.fault.injected.") + to_string(kind))
+      .inc(n);
+}
+
+obs::RecKind rec_kind(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kColdStart: return obs::RecKind::kFaultColdStart;
+    case FaultKind::kCrash: return obs::RecKind::kFaultCrash;
+    case FaultKind::kStraggler: return obs::RecKind::kFaultStraggler;
+    case FaultKind::kNodeCrash: return obs::RecKind::kNodeCrash;
+    default: return obs::RecKind::kFaultTransfer;
+  }
 }
 
 double FaultInjector::roll(FaultKind kind, std::uint64_t entity,

@@ -21,6 +21,11 @@
 
 #include "common/types.h"
 
+namespace chiron::obs {
+class MetricsRegistry;
+enum class RecKind : std::uint8_t;
+}  // namespace chiron::obs
+
 namespace chiron {
 
 /// Per-component fault probabilities and shapes. All-zero = healthy.
@@ -90,6 +95,15 @@ enum class FaultKind : std::uint8_t {
 
 /// Human-readable kind name ("cold_start", "crash", ...).
 const char* to_string(FaultKind kind);
+
+/// The one place injected faults are counted: adds `n` to
+/// chiron.fault.injected and chiron.fault.injected.<kind> on `metrics`
+/// (n = 0 still creates both, at zero).
+void count_injected(obs::MetricsRegistry& metrics, FaultKind kind,
+                    std::int64_t n = 1);
+
+/// The FlightRecorder event kind of an injected fault.
+obs::RecKind rec_kind(FaultKind kind);
 
 /// Stateless decision oracle over a FaultSpec. `entity` is whatever
 /// identifies the unit at risk (request index, task index); `attempt` is

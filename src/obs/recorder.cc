@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -170,17 +169,7 @@ json::Value FlightRecorder::to_json() const {
 std::string FlightRecorder::dump() const { return json::dump(to_json()); }
 
 bool FlightRecorder::write(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    CHIRON_LOG(kError) << "recorder: cannot open '" << path
-                       << "' for writing";
-    return false;
-  }
-  out << dump();
-  if (!out) {
-    CHIRON_LOG(kError) << "recorder: write to '" << path << "' failed";
-    return false;
-  }
+  if (!json::write_file(path, to_json(), "recorder")) return false;
   CHIRON_LOG(kInfo) << "recorder: wrote " << recorded_count() - dropped_count()
                     << " events to " << path << " (" << dropped_count()
                     << " dropped)";

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <fstream>
-
 #include "common/log.h"
 #include "obs/metrics.h"
 
@@ -67,7 +65,11 @@ std::uint64_t Tracer::dropped_count() const {
   return dropped_;
 }
 
-void Tracer::push_locked(TraceEvent ev) {
+void Tracer::emit(TraceEvent ev, bool caller_track) {
+  if (!enabled()) return;
+  if (caller_track) ev.ts_us = now_ms() * 1000.0;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (caller_track) ev.tid = thread_track_locked();
   if (max_events_ != 0 && events_.size() >= max_events_) {
     events_.pop_front();
     ++dropped_;
@@ -76,126 +78,59 @@ void Tracer::push_locked(TraceEvent ev) {
   events_.push_back(std::move(ev));
 }
 
-void Tracer::record(TraceEvent ev) {
-  std::lock_guard<std::mutex> lock(mu_);
-  push_locked(std::move(ev));
-}
-
 void Tracer::begin(const std::string& name, const std::string& category,
                    std::vector<std::pair<std::string, double>> num_args) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.category = category;
-  ev.phase = 'B';
-  ev.pid = kWallPid;
-  ev.ts_us = now_ms() * 1000.0;
-  ev.num_args = std::move(num_args);
-  std::lock_guard<std::mutex> lock(mu_);
-  ev.tid = thread_track_locked();
-  push_locked(std::move(ev));
+  emit({.name = name, .category = category, .phase = 'B',
+        .num_args = std::move(num_args)},
+       true);
 }
 
 void Tracer::end(const std::string& name) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.phase = 'E';
-  ev.pid = kWallPid;
-  ev.ts_us = now_ms() * 1000.0;
-  std::lock_guard<std::mutex> lock(mu_);
-  ev.tid = thread_track_locked();
-  push_locked(std::move(ev));
+  emit({.name = name, .phase = 'E'}, true);
 }
 
 void Tracer::instant(const std::string& name, const std::string& category,
                      std::vector<std::pair<std::string, double>> num_args) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.category = category;
-  ev.phase = 'i';
-  ev.pid = kWallPid;
-  ev.ts_us = now_ms() * 1000.0;
-  ev.num_args = std::move(num_args);
-  std::lock_guard<std::mutex> lock(mu_);
-  ev.tid = thread_track_locked();
-  push_locked(std::move(ev));
+  emit({.name = name, .category = category, .phase = 'i',
+        .num_args = std::move(num_args)},
+       true);
 }
 
 void Tracer::complete_at(const std::string& name, const std::string& category,
                          int pid, int tid, double ts_ms, double dur_ms,
                          std::vector<std::pair<std::string, double>> num_args) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.category = category;
-  ev.phase = 'X';
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.ts_us = ts_ms * 1000.0;
-  ev.dur_us = dur_ms * 1000.0;
-  ev.num_args = std::move(num_args);
-  record(std::move(ev));
+  emit({.name = name, .category = category, .phase = 'X', .pid = pid,
+        .tid = tid, .ts_us = ts_ms * 1000.0, .dur_us = dur_ms * 1000.0,
+        .num_args = std::move(num_args)});
 }
 
 void Tracer::instant_at(const std::string& name, const std::string& category,
                         int pid, int tid, double ts_ms,
                         std::vector<std::pair<std::string, double>> num_args) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.category = category;
-  ev.phase = 'i';
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.ts_us = ts_ms * 1000.0;
-  ev.num_args = std::move(num_args);
-  record(std::move(ev));
+  emit({.name = name, .category = category, .phase = 'i', .pid = pid,
+        .tid = tid, .ts_us = ts_ms * 1000.0,
+        .num_args = std::move(num_args)});
 }
 
 void Tracer::counter_at(const std::string& name, double value, int pid,
                         int tid, double ts_ms) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.phase = 'C';
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.ts_us = ts_ms * 1000.0;
-  ev.num_args.emplace_back("value", value);
-  record(std::move(ev));
+  emit({.name = name, .phase = 'C', .pid = pid, .tid = tid,
+        .ts_us = ts_ms * 1000.0, .num_args = {{"value", value}}});
 }
 
 void Tracer::async_begin_at(const std::string& name,
                             const std::string& category, int pid, int tid,
                             double ts_ms, std::uint64_t id) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.category = category.empty() ? "async" : category;
-  ev.phase = 'b';
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.ts_us = ts_ms * 1000.0;
-  ev.id = id;
-  ev.has_id = true;
-  record(std::move(ev));
+  emit({.name = name, .category = category.empty() ? "async" : category,
+        .phase = 'b', .pid = pid, .tid = tid, .ts_us = ts_ms * 1000.0,
+        .id = id, .has_id = true});
 }
 
 void Tracer::async_end_at(const std::string& name, const std::string& category,
                           int pid, int tid, double ts_ms, std::uint64_t id) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.category = category.empty() ? "async" : category;
-  ev.phase = 'e';
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.ts_us = ts_ms * 1000.0;
-  ev.id = id;
-  ev.has_id = true;
-  record(std::move(ev));
+  emit({.name = name, .category = category.empty() ? "async" : category,
+        .phase = 'e', .pid = pid, .tid = tid, .ts_us = ts_ms * 1000.0,
+        .id = id, .has_id = true});
 }
 
 std::size_t Tracer::event_count() const {
@@ -220,10 +155,9 @@ json::Value event_to_json(const TraceEvent& ev) {
   o["ts"] = json::Value(ev.ts_us);
   if (ev.phase == 'X') o["dur"] = json::Value(ev.dur_us);
   if (ev.has_id) o["id"] = json::Value(static_cast<double>(ev.id));
-  if (!ev.num_args.empty() || !ev.str_args.empty()) {
+  if (!ev.num_args.empty()) {
     json::Object args;
     for (const auto& [k, v] : ev.num_args) args[k] = json::Value(v);
-    for (const auto& [k, v] : ev.str_args) args[k] = json::Value(v);
     o["args"] = json::Value(std::move(args));
   }
   return json::Value(std::move(o));
@@ -269,16 +203,7 @@ json::Value Tracer::to_json() const {
 std::string Tracer::dump() const { return json::dump(to_json()); }
 
 bool Tracer::write(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    CHIRON_LOG(kError) << "tracer: cannot open '" << path << "' for writing";
-    return false;
-  }
-  out << dump();
-  if (!out) {
-    CHIRON_LOG(kError) << "tracer: write to '" << path << "' failed";
-    return false;
-  }
+  if (!json::write_file(path, to_json(), "tracer")) return false;
   CHIRON_LOG(kInfo) << "tracer: wrote " << event_count() << " events to "
                     << path << " (open in Perfetto / chrome://tracing)";
   return true;

@@ -34,9 +34,11 @@ inline constexpr int kWallPid = 1;     ///< wall-clock (steady_clock) events
 inline constexpr int kVirtualPid = 2;  ///< simulated-time events
 
 /// One trace-event record (a subset of the Chrome trace-event format).
+/// Every member has a default initializer, so a primitive names only the
+/// fields its phase sets.
 struct TraceEvent {
-  std::string name;
-  std::string category;
+  std::string name{};
+  std::string category{};
   char phase = 'X';  ///< 'B','E','X','i','C','b','e','M'
   int pid = kWallPid;
   int tid = 0;
@@ -44,8 +46,7 @@ struct TraceEvent {
   double dur_us = 0.0;  ///< 'X' events only
   std::uint64_t id = 0; ///< 'b'/'e' async pairing id
   bool has_id = false;
-  std::vector<std::pair<std::string, double>> num_args;
-  std::vector<std::pair<std::string, std::string>> str_args;
+  std::vector<std::pair<std::string, double>> num_args{};
 };
 
 /// Thread-safe span/event recorder.
@@ -128,9 +129,12 @@ class Tracer {
   void clear();
 
  private:
-  void record(TraceEvent ev);
-  void push_locked(TraceEvent ev);  ///< requires mu_ held; applies the cap
-  int thread_track_locked();        ///< requires mu_ held
+  /// The one write path of every primitive: drops `ev` when disabled;
+  /// with `caller_track` (the wall-clock primitives) stamps it with
+  /// now_ms() before taking the lock and with the calling thread's track
+  /// under it; then appends it under the max_events cap.
+  void emit(TraceEvent ev, bool caller_track = false);
+  int thread_track_locked();  ///< requires mu_ held
 
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;

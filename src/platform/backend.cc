@@ -1,16 +1,8 @@
 #include "platform/backend.h"
 
-#include <string>
-
 #include "obs/metrics.h"
 
 namespace chiron {
-
-void note_backend_fault(FaultKind kind) {
-  obs::MetricsRegistry& m = obs::MetricsRegistry::global();
-  m.counter("chiron.fault.injected").inc();
-  m.counter(std::string("chiron.fault.injected.") + to_string(kind)).inc();
-}
 
 void RunResult::scale(double factor) {
   if (factor == 1.0) return;
@@ -30,7 +22,7 @@ void RunResult::scale(double factor) {
 double NoiseConfig::straggle(Rng& rng) const {
   if (faults && faults->spec().straggler > 0.0 &&
       rng.uniform() < faults->spec().straggler) {
-    note_backend_fault(FaultKind::kStraggler);
+    count_injected(obs::MetricsRegistry::global(), FaultKind::kStraggler);
     return faults->spec().straggler_multiplier;
   }
   return 1.0;
@@ -39,7 +31,7 @@ double NoiseConfig::straggle(Rng& rng) const {
 TimeMs NoiseConfig::transfer(TimeMs latency, Rng& rng) const {
   if (faults && faults->spec().transfer_error > 0.0 &&
       rng.uniform() < faults->spec().transfer_error) {
-    note_backend_fault(FaultKind::kTransfer);
+    count_injected(obs::MetricsRegistry::global(), FaultKind::kTransfer);
     return latency + faults->spec().transfer_retry_ms;
   }
   return latency;

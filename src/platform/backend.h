@@ -80,7 +80,9 @@ struct NoiseConfig {
   /// one instance serves the request; per-function for one-to-one);
   /// transfer faults add the spec's transparent-retry latency to one
   /// storage/RPC hop. Crashes are attempt-level events recovered by the
-  /// ClusterSimulator's retry policy, not modeled here.
+  /// ClusterSimulator's retry policy, not modeled here. A backend carries
+  /// no registry of its own, so each fired fault is counted on the global
+  /// MetricsRegistry.
   const FaultInjector* faults = nullptr;
 
   /// `value` with one independent jitter draw applied.
@@ -102,11 +104,6 @@ struct NoiseConfig {
   /// injected transfer error fires.
   TimeMs transfer(TimeMs latency, Rng& rng) const;
 };
-
-/// Increments chiron.fault.injected[.<kind>] on the global
-/// MetricsRegistry — the sink backends report injected faults to (unlike
-/// the ClusterSimulator they carry no injected registry of their own).
-void note_backend_fault(FaultKind kind);
 
 /// A deployed system serving one workflow.
 class Backend {

@@ -143,8 +143,9 @@ struct ClusterResult {
 /// One scenario of a sweep: a cluster/load configuration driving a backend.
 /// The backend is not owned and must outlive the sweep; it is shared by
 /// every seed of the scenario (and possibly other scenarios), so it must
-/// be safe to call run() on concurrently — all plan backends are (their
-/// only mutable state is the thread-safe PredictionCache).
+/// be safe to call run() on concurrently — all plan backends are:
+/// WrapPlanBackend and OneToOneBackend do not change after construction,
+/// and neither owns a Predictor or a cache.
 struct ScenarioSpec {
   std::string name;
   ClusterConfig config;  ///< config.seed is overridden per sweep seed

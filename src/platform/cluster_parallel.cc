@@ -72,17 +72,6 @@ namespace chiron {
 namespace cluster_detail {
 namespace {
 
-/// Recorder event kind for an injected fault.
-obs::RecKind fault_rec_kind(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kColdStart: return obs::RecKind::kFaultColdStart;
-    case FaultKind::kCrash: return obs::RecKind::kFaultCrash;
-    case FaultKind::kStraggler: return obs::RecKind::kFaultStraggler;
-    case FaultKind::kNodeCrash: return obs::RecKind::kNodeCrash;
-    default: return obs::RecKind::kFaultTransfer;
-  }
-}
-
 /// A shard heap's typed POD event: the whole per-request state machine
 /// dispatches on {kind, request id} — no per-event closures. kRetry
 /// enters a heap only in a one-node run; with more nodes, retries
@@ -298,7 +287,6 @@ struct Shard {
   Rng rng{0};             ///< per-node service-time stream
   Tally tally;
   std::size_t routed = 0;
-  std::size_t node_crashes = 0;
 };
 
 }  // namespace
@@ -574,7 +562,7 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
                          std::uint32_t attempt, TimeMs now,
                          double value = 0.0) {
     ++s.tally.faults[static_cast<std::size_t>(kind)];
-    note(fault_rec_kind(kind), id, attempt, now, value, reqs[id].node);
+    note(rec_kind(kind), id, attempt, now, value, reqs[id].node);
   };
 
   // Disarms the timeout `r` holds, seen from shard `s` (which must own
@@ -1049,7 +1037,6 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
     coord_last = std::max(coord_last, c.at);
     ++result.node_crashes;
     ++result.node_results[c.k].node_crashes;
-    ++s.node_crashes;
     if (tracer) {
       tracer->instant_at("fault.node_crash", "fault", obs::kVirtualPid,
                          request_track, c.at,
@@ -1237,16 +1224,11 @@ ClusterResult run_prepared_windowed(const ClusterConfig& config,
   if (metrics) {
     metrics->counter("cluster.cold_starts")
         .inc(static_cast<std::int64_t>(total.cold_starts));
-    std::int64_t injected = 0;
     for (const FaultKind kind : kInjectedFaults) {
-      const auto count = static_cast<std::int64_t>(
-          total.faults[static_cast<std::size_t>(kind)]);
-      metrics->counter(std::string("chiron.fault.injected.") +
-                       to_string(kind))
-          .inc(count);
-      injected += count;
+      count_injected(*metrics, kind,
+                     static_cast<std::int64_t>(
+                         total.faults[static_cast<std::size_t>(kind)]));
     }
-    metrics->counter("chiron.fault.injected").inc(injected);
     metrics->counter("chiron.retry.attempts")
         .inc(static_cast<std::int64_t>(total.retried));
     metrics->counter("chiron.request.timeout")

@@ -30,6 +30,61 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   EXPECT_EQ(tracer.event_count(), 0u);
 }
 
+TEST(TracerTest, EveryPrimitiveStampsItsFields) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  const int own = tracer.thread_track();
+  const int track = tracer.new_track("virtual", kVirtualPid);
+  tracer.begin("begin", "wall", {{"k", 1.0}});
+  tracer.end("begin");
+  tracer.instant("instant", "wall");
+  tracer.complete_at("complete", "sim", kVirtualPid, track, 1.0, 2.5);
+  tracer.instant_at("instant_at", "sim", kVirtualPid, track, 2.0);
+  tracer.counter_at("counter", 7.0, kVirtualPid, track, 3.0);
+  tracer.async_begin_at("async", "", kVirtualPid, track, 4.0, 42);
+  tracer.async_end_at("async", "", kVirtualPid, track, 5.0, 42);
+
+  using Args = std::vector<std::pair<std::string, double>>;
+  struct Want {
+    char phase;
+    int pid;
+    int tid;
+    std::string category;
+    double ts_us;  // < 0: stamped from the tracer's clock
+    Args args;
+  };
+  const std::vector<Want> want = {
+      {'B', kWallPid, own, "wall", -1.0, {{"k", 1.0}}},
+      {'E', kWallPid, own, "", -1.0, {}},
+      {'i', kWallPid, own, "wall", -1.0, {}},
+      {'X', kVirtualPid, track, "sim", 1000.0, {}},
+      {'i', kVirtualPid, track, "sim", 2000.0, {}},
+      {'C', kVirtualPid, track, "", 3000.0, {{"value", 7.0}}},
+      {'b', kVirtualPid, track, "async", 4000.0, {}},
+      {'e', kVirtualPid, track, "async", 5000.0, {}},
+  };
+  const std::vector<TraceEvent> events = tracer.events();
+  ASSERT_EQ(events.size(), want.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& ev = events[i];
+    SCOPED_TRACE(ev.name);
+    EXPECT_EQ(ev.phase, want[i].phase);
+    EXPECT_EQ(ev.pid, want[i].pid);
+    EXPECT_EQ(ev.tid, want[i].tid);
+    EXPECT_EQ(ev.category, want[i].category);
+    if (want[i].ts_us < 0.0) {
+      EXPECT_GE(ev.ts_us, 0.0);
+    } else {
+      EXPECT_EQ(ev.ts_us, want[i].ts_us);
+    }
+    EXPECT_EQ(ev.dur_us, ev.phase == 'X' ? 2500.0 : 0.0);
+    const bool async = ev.phase == 'b' || ev.phase == 'e';
+    EXPECT_EQ(ev.has_id, async);
+    EXPECT_EQ(ev.id, async ? 42u : 0u);
+    EXPECT_EQ(ev.num_args, want[i].args);
+  }
+}
+
 TEST(TracerTest, ScopedSpansBalanceAndNest) {
   Tracer tracer;
   tracer.set_enabled(true);

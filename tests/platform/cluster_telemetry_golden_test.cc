@@ -375,7 +375,6 @@ std::string trace_digest(const obs::Tracer& tracer) {
     for (const auto& [key, value] : e.num_args) {
       line += ' ' + key + '=' + exact(value);
     }
-    for (const auto& [key, value] : e.str_args) line += ' ' + key + '=' + value;
     lines.push_back(line + '\n');
   }
   std::sort(lines.begin(), lines.end());
