@@ -138,6 +138,11 @@ std::size_t parse_count(const std::string& text, std::size_t lo = 0,
   return static_cast<std::size_t>(v);
 }
 
+// Upper bounds on sizes the host pays for up front: each thread is an OS
+// thread, and each flight-recorder slot (48 B) is resident at once.
+constexpr std::size_t kMaxThreads = 256;
+constexpr std::size_t kMaxRecorderCapacity = std::size_t{1} << 22;
+
 IsolationMode parse_mode(const std::string& mode) {
   if (mode == "native") return IsolationMode::kNative;
   if (mode == "mpk") return IsolationMode::kMpk;
@@ -195,7 +200,7 @@ int main(int argc, char** argv) {
       value("--trace", [&](const std::string& v) { trace_path = v; }),
       on("--metrics", dump_metrics),
       value("--deploy-threads", [&](const std::string& v) {
-        deploy_threads = parse_count(v);
+        deploy_threads = parse_count(v, 0, kMaxThreads);
       }),
       value("--faults", [&](const std::string& v) {
         faults = parse_fault_spec(v);
@@ -227,7 +232,7 @@ int main(int argc, char** argv) {
         cluster_nodes = parse_count(v, 1);
       }),
       value("--sim-threads", [&](const std::string& v) {
-        sim_threads = parse_count(v);
+        sim_threads = parse_count(v, 0, kMaxThreads);
       }),
       value("--router", [&](const std::string& v) {
         router_policy = parse_router_policy(v);
@@ -242,7 +247,7 @@ int main(int argc, char** argv) {
       on("--recorder", recorder_on),
       value("--recorder-capacity", [&](const std::string& v) {
         recorder_on = true;
-        recorder_capacity = parse_count(v, 1);
+        recorder_capacity = parse_count(v, 1, kMaxRecorderCapacity);
       }),
       value("--recorder-dump", [&](const std::string& v) {
         recorder_on = true;

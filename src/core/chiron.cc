@@ -118,6 +118,7 @@ std::optional<Deployment> Chiron::replan_if_degraded(const SloMonitor& monitor,
       std::clamp(slowdown * kSafetyMargin, 1.0, kMaxInflation);
   m.counter("chiron.degrade.replans").inc();
   m.gauge("chiron.degrade.inflation").set(inflation);
+  m.gauge("chiron.degrade.safety_margin").set(kSafetyMargin);
   if (rec.enabled()) {
     rec.record(obs::RecKind::kReplan, 0, 0, rec.now_ms(), inflation);
   }

@@ -145,7 +145,9 @@ class Chiron {
   ///     SLO at roughly SLO / margin.
   /// Returns nullopt while healthy or before the monitor warms up.
   /// Emits chiron.degrade.replans / chiron.degrade.fallbacks /
-  /// chiron.slo.breaches counters and the chiron.degrade.inflation gauge.
+  /// chiron.slo.breaches counters and the chiron.degrade.inflation and
+  /// chiron.degrade.safety_margin gauges (inflation = the slowdown times
+  /// that margin, clamped to [1, 32]).
   /// When the global FlightRecorder is enabled, the breach is stamped into
   /// the event stream (slo.breach, then replan) and the recorder is
   /// auto-dumped to its armed path, so the events leading up to the breach

@@ -66,6 +66,7 @@
 #include "platform/cluster_internal.h"
 #include "platform/router.h"
 #include "sim/event_queue.h"
+#include "sim/ring.h"
 #include "sim/shard.h"
 
 namespace chiron {
@@ -88,58 +89,6 @@ struct ClusterEvent {
 };
 
 using ClusterEventQueue = TypedEventQueue<ClusterEvent>;
-
-/// Power-of-two ring buffer with push_back / pop_front / pop_back. The
-/// serving loop's waiting queue and warm pool need deque semantics with
-/// zero steady-state allocations, which std::deque's block allocator
-/// cannot promise; reserve() up front makes every later operation
-/// allocation-free as long as the live size stays within the reservation
-/// (growth past it is correct, just no longer allocation-free).
-template <typename T>
-class Ring {
- public:
-  void reserve(std::size_t n) {
-    std::size_t cap = 8;
-    while (cap < n + 1) cap <<= 1;
-    if (cap > buf_.size()) rebuild(cap);
-  }
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  const T& front() const { return buf_[head_ & (buf_.size() - 1)]; }
-  void push_back(const T& value) {
-    if (size_ == buf_.size()) {
-      rebuild(buf_.empty() ? std::size_t{8} : buf_.size() * 2);
-    }
-    buf_[(head_ + size_) & (buf_.size() - 1)] = value;
-    ++size_;
-  }
-  /// Pops and returns the newest element (LIFO end).
-  T pop_back() {
-    --size_;
-    return buf_[(head_ + size_) & (buf_.size() - 1)];
-  }
-  /// Pops and returns the oldest element (FIFO end).
-  T pop_front() {
-    const T value = buf_[head_ & (buf_.size() - 1)];
-    ++head_;
-    --size_;
-    return value;
-  }
-
- private:
-  void rebuild(std::size_t cap) {
-    std::vector<T> next(cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-    }
-    buf_ = std::move(next);
-    head_ = 0;
-  }
-
-  std::vector<T> buf_;
-  std::size_t head_ = 0;  ///< monotonically increasing; masked on access
-  std::size_t size_ = 0;
-};
 
 constexpr TimeMs kInf = std::numeric_limits<TimeMs>::infinity();
 /// Sentinel node index: the request's timeout is in flight between nodes

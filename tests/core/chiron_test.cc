@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -277,9 +278,17 @@ TEST(ChironDegradationTest, StragglerStormIsRecoveredBelowTheSlo) {
   EXPECT_EQ(
       obs::MetricsRegistry::global().counter("chiron.degrade.replans").value(),
       replans_before + 1);
-  EXPECT_GE(
-      obs::MetricsRegistry::global().gauge("chiron.degrade.inflation").value(),
-      1.0);
+  // The published inflation is the observed slowdown times the published
+  // safety margin, clamped to [1, 32].
+  const double margin = obs::MetricsRegistry::global()
+                            .gauge("chiron.degrade.safety_margin")
+                            .value();
+  EXPECT_DOUBLE_EQ(margin, 1.3);
+  const double slowdown = before.p95_ms() / initial.predicted_latency_ms;
+  const double inflation =
+      obs::MetricsRegistry::global().gauge("chiron.degrade.inflation").value();
+  EXPECT_DOUBLE_EQ(inflation, std::clamp(slowdown * margin, 1.0, 32.0));
+  EXPECT_DOUBLE_EQ(replanned->profile_inflation, inflation);
 
   SloMonitor after;
   observe(*replanned, after);
