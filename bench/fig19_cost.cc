@@ -1,7 +1,12 @@
 // Fig. 19 — dollar cost per one million workflow requests, normalized to
 // Chiron (heat-table layout as in the paper; Chiron's row shows absolute
 // dollars).
+//
+// Exits 1 unless the paper's ordering holds in every column: ASF is the
+// most expensive row, and each Faastlane variant costs more than its
+// Chiron twin (Faastlane/Chiron, -M/-M, -P/-P).
 #include <iostream>
+#include <map>
 
 #include "bench_util.h"
 #include "common/table.h"
@@ -22,7 +27,10 @@ int main() {
   // ASF separately: it is billed per state transition as well.
   Table table(headers);
 
-  std::vector<double> chiron_cost(suite.size());
+  // Absolute cost per system and workflow, for the ordering check.
+  std::map<std::string, std::vector<double>> cost;
+  std::vector<double>& chiron_cost = cost["Chiron"];
+  chiron_cost.resize(suite.size());
   for (std::size_t w = 0; w < suite.size(); ++w) {
     const auto backend = make_system("Chiron", suite[w], opts);
     Rng rng(opts.seed + w);
@@ -35,10 +43,9 @@ int main() {
   for (std::size_t w = 0; w < suite.size(); ++w) {
     const auto backend = make_system("ASF", suite[w], opts);
     Rng rng(opts.seed + w);
-    table.add(evaluate_system(*backend, opts.params, rng, 5)
-                  .cost_per_million_usd /
-                  chiron_cost[w],
-              1);
+    cost["ASF"].push_back(
+        evaluate_system(*backend, opts.params, rng, 5).cost_per_million_usd);
+    table.add(cost["ASF"][w] / chiron_cost[w], 1);
   }
   for (const std::string& system : systems) {
     table.row().add(system);
@@ -49,10 +56,9 @@ int main() {
       }
       const auto backend = make_system(system, suite[w], opts);
       Rng rng(opts.seed + w);
-      table.add(evaluate_system(*backend, opts.params, rng, 10)
-                    .cost_per_million_usd /
-                    chiron_cost[w],
-                1);
+      cost[system].push_back(evaluate_system(*backend, opts.params, rng, 10)
+                                 .cost_per_million_usd);
+      table.add(cost[system][w] / chiron_cost[w], 1);
     }
   }
   table.print(std::cout);
@@ -60,5 +66,26 @@ int main() {
   std::cout << "\npaper shape: ASF up to ~272x Chiron (per-transition"
                " billing); Chiron saves\n44-95 % vs Faastlane and 23.1-99.6 %"
                " overall.\n";
-  return 0;
+
+  bool claim_holds = true;
+  for (std::size_t w = 0; w < suite.size(); ++w) {
+    const std::string& column = suite[w].name();
+    for (const auto& [system, c] : cost) {
+      if (system == "ASF" || c[w] < cost["ASF"][w]) continue;
+      std::cerr << "claim fails: " << column << ": " << system << " costs "
+                << format_fixed(c[w], 2) << " USD, ASF only "
+                << format_fixed(cost["ASF"][w], 2) << "\n";
+      claim_holds = false;
+    }
+    for (const std::string twin : {"", "-M", "-P"}) {
+      const double faastlane = cost["Faastlane" + twin][w];
+      const double chiron = cost["Chiron" + twin][w];
+      if (faastlane > chiron) continue;
+      std::cerr << "claim fails: " << column << ": Faastlane" << twin
+                << " costs " << format_fixed(faastlane, 2) << " USD, Chiron"
+                << twin << " " << format_fixed(chiron, 2) << "\n";
+      claim_holds = false;
+    }
+  }
+  return claim_holds ? 0 : 1;
 }

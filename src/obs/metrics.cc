@@ -43,16 +43,26 @@ std::vector<double> Histogram::default_latency_bounds_ms() {
           200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0};
 }
 
-void Histogram::observe(double x) {
+std::size_t Histogram::bucket_of(double x) const {
   // lower_bound: bucket i counts bounds[i-1] < x <= bounds[i], matching
   // the inclusive-upper-bound (`le`) semantics of Prometheus histograms.
-  const std::size_t bucket =
-      static_cast<std::size_t>(
-          std::lower_bound(bounds_.begin(), bounds_.end(), x) -
-          bounds_.begin());
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds_.begin(), bounds_.end(), x) - bounds_.begin());
+}
+
+void Histogram::observe(double x) {
+  const std::size_t bucket = bucket_of(x);
   std::lock_guard<std::mutex> lock(mu_);
   ++buckets_[bucket];
   stats_.add(x);
+}
+
+void Histogram::observe(std::span<const double> xs) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const double x : xs) {
+    ++buckets_[bucket_of(x)];
+    stats_.add(x);
+  }
 }
 
 HistogramSnapshot Histogram::snapshot() const {

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,9 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void observe(double x);
+  /// Observes every element in order under one lock: the same snapshot as
+  /// calling observe(x) for each.
+  void observe(std::span<const double> xs);
   HistogramSnapshot snapshot() const;
   const std::vector<double>& bounds() const { return bounds_; }
 
@@ -76,6 +80,8 @@ class Histogram {
   static std::vector<double> default_latency_bounds_ms();
 
  private:
+  std::size_t bucket_of(double x) const;
+
   std::vector<double> bounds_;
   mutable std::mutex mu_;               ///< guards buckets_ and stats_
   std::vector<std::uint64_t> buckets_;  ///< bounds_.size()+1

@@ -42,8 +42,9 @@ std::uint64_t mint_request_ids(std::uint64_t n) {
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : epoch_(std::chrono::steady_clock::now()),
-      ring_(std::max<std::size_t>(1, capacity)) {}
+    : epoch_(std::chrono::steady_clock::now()) {
+  set_capacity(capacity);
+}
 
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder recorder;
@@ -52,13 +53,17 @@ FlightRecorder& FlightRecorder::global() {
 
 void FlightRecorder::set_capacity(std::size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.assign(std::max<std::size_t>(1, capacity), RecorderEvent{});
+  // Reserved, not sized: record() appends until the ring is full, so a
+  // slot's page is first written when an event lands in it.
+  cap_ = std::max<std::size_t>(1, capacity);
+  std::vector<RecorderEvent>().swap(ring_);
+  ring_.reserve(cap_);
   written_ = 0;
 }
 
 std::size_t FlightRecorder::capacity() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
+  return cap_;
 }
 
 double FlightRecorder::now_ms() const {
@@ -80,7 +85,11 @@ void FlightRecorder::record(RecKind kind, std::uint64_t request,
   ev.kind = kind;
   std::lock_guard<std::mutex> lock(mu_);
   ev.seq = written_;
-  ring_[written_ % ring_.size()] = ev;
+  if (ring_.size() < cap_) {
+    ring_.push_back(ev);
+  } else {
+    ring_[written_ % cap_] = ev;
+  }
   ++written_;
 }
 
@@ -91,18 +100,17 @@ std::uint64_t FlightRecorder::recorded_count() const {
 
 std::uint64_t FlightRecorder::dropped_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return written_ > ring_.size() ? written_ - ring_.size() : 0;
+  return written_ > cap_ ? written_ - cap_ : 0;
 }
 
 void FlightRecorder::snapshot_into(std::vector<RecorderEvent>& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Once wrapped, the oldest retained event sits at the next write slot;
-  // reading forward from it yields ascending seq.
-  const auto split = static_cast<std::ptrdiff_t>(
-      written_ > ring_.size() ? written_ % ring_.size() : 0);
-  const auto end = static_cast<std::ptrdiff_t>(
-      std::min<std::uint64_t>(written_, ring_.size()));
-  out.insert(out.end(), ring_.begin() + split, ring_.begin() + end);
+  // ring_ holds exactly the written slots. Once wrapped, the oldest
+  // retained event sits at the next write slot; reading forward from it
+  // yields ascending seq.
+  const auto split =
+      static_cast<std::ptrdiff_t>(written_ > cap_ ? written_ % cap_ : 0);
+  out.insert(out.end(), ring_.begin() + split, ring_.end());
   out.insert(out.end(), ring_.begin(), ring_.begin() + split);
 }
 
@@ -204,6 +212,7 @@ bool FlightRecorder::auto_dump() {
 
 void FlightRecorder::clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  ring_.clear();  // keeps the reservation: data() does not move
   written_ = 0;
 }
 
@@ -265,7 +274,7 @@ void signal_dump_handler(int signo) {
 void FlightRecorder::install_signal_dump(const std::string& path) {
   std::snprintf(g_signal_path, sizeof(g_signal_path), "%s", path.c_str());
   g_signal_view.ring = ring_.data();
-  g_signal_view.ring_size = ring_.size();
+  g_signal_view.ring_size = cap_;
   g_signal_view.written = &written_;
   for (int signo : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL}) {
     std::signal(signo, signal_dump_handler);

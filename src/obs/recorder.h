@@ -4,8 +4,8 @@
 //
 // Unlike the Tracer (rich string-y Chrome events, intended for bounded
 // diagnostic runs), the recorder stores fixed-size PODs in one
-// pre-allocated ring: recording is one relaxed atomic load (when
-// disabled), or one lock plus a 40-byte slot write (when enabled). When
+// reserved ring: recording is one relaxed atomic load (when
+// disabled), or one lock plus a 48-byte slot write (when enabled). When
 // the ring wraps, the oldest event is overwritten and the drop is counted
 // — memory is bounded by construction, and recorded == snapshot + dropped
 // always holds.
@@ -80,7 +80,8 @@ std::uint64_t mint_request_ids(std::uint64_t n);
 class FlightRecorder {
  public:
   /// `capacity` is the event budget (at least one slot). All slots are
-  /// allocated here — record() never allocates.
+  /// reserved here — record() never allocates — but a slot's memory is
+  /// first touched when an event is written to it.
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
   /// The process-wide recorder instrumented library code reports to.
@@ -162,10 +163,13 @@ class FlightRecorder {
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> auto_dumps_{0};
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;            ///< guards ring_ and written_
-  std::vector<RecorderEvent> ring_;  ///< sized only by set_capacity()
-  std::uint64_t written_ = 0;        ///< total writes; slot = written_ % size
-  mutable std::mutex config_mu_;     ///< guards auto_dump_path_
+  mutable std::mutex mu_;  ///< guards cap_, ring_ and written_
+  std::size_t cap_ = 1;    ///< slots reserved by set_capacity()
+  /// The written slots only: grows to cap_, then wraps. Its storage is
+  /// reserved once per set_capacity(), so data() never moves between.
+  std::vector<RecorderEvent> ring_;
+  std::uint64_t written_ = 0;  ///< total writes; slot = written_ % cap_
+  mutable std::mutex config_mu_;  ///< guards auto_dump_path_
   std::string auto_dump_path_;
 };
 

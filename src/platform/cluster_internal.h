@@ -43,9 +43,14 @@ inline std::size_t node_capacity(const ResourceUsage& usage,
 }
 
 /// The windowed (conservative-PDES) engine behind
-/// ClusterSimulator::run_prepared at every node count. Defined in
-/// cluster_parallel.cc; sim_threads == 1 runs the identical schedule
-/// inline, so results are bit-identical across thread counts.
+/// ClusterSimulator::run_prepared at every node count: builds one
+/// WindowedEngine for the run and runs it. The engine is private to
+/// cluster_parallel.cc, in two halves: a shard half that advances one
+/// Shard& through a window, reading only the const run context and the
+/// request table, and a coordinator half that owns the router, pending
+/// transfers, node crashes, the (time, node) merge, the window counters
+/// and teardown. sim_threads == 1 runs the identical schedule inline, so
+/// results are bit-identical across thread counts.
 ClusterResult run_prepared_windowed(const ClusterConfig& config,
                                     const RuntimeParams& params,
                                     const Backend& backend,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <regex>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -56,6 +57,29 @@ TEST(HistogramTest, BucketsAndMomentsAreExact) {
   EXPECT_DOUBLE_EQ(snap.stats.min(), 1.0);
   EXPECT_DOUBLE_EQ(snap.stats.max(), 100.0);
   EXPECT_NEAR(snap.sum, 235.0, 1e-9);
+}
+
+TEST(HistogramTest, SpanObserveMatchesElementWise) {
+  // One lock for the whole span must leave the snapshot bit-for-bit what
+  // observing each element in turn leaves, bounds-equal values included.
+  const std::vector<double> bounds = Histogram::default_latency_bounds_ms();
+  std::vector<double> xs = bounds;
+  for (int i = 0; i < 1000; ++i) xs.push_back(0.37 * i * i / (1.0 + i % 7));
+  Histogram each(bounds);
+  for (const double x : xs) each.observe(x);
+  Histogram span(bounds);
+  span.observe(std::span<const double>());  // an empty span adds nothing
+  span.observe(xs);
+  const HistogramSnapshot a = each.snapshot();
+  const HistogramSnapshot b = span.snapshot();
+  EXPECT_EQ(a.buckets, b.buckets);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.count, xs.size());
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.stats.min(), b.stats.min());
+  EXPECT_EQ(a.stats.max(), b.stats.max());
+  EXPECT_EQ(a.stats.mean(), b.stats.mean());
+  EXPECT_EQ(a.stats.stddev(), b.stats.stddev());
 }
 
 TEST(HistogramTest, ConcurrentObserversLoseNothing) {

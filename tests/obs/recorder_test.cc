@@ -14,6 +14,7 @@
 
 #include "common/json.h"
 #include "obs/metrics.h"
+#include "support/resident.h"
 
 namespace chiron::obs {
 namespace {
@@ -144,6 +145,35 @@ TEST(ObsRecorderTest, ClearResetsEverything) {
   EXPECT_EQ(rec.recorded_count(), 0u);
   EXPECT_EQ(rec.dropped_count(), 0u);
   EXPECT_TRUE(rec.snapshot().empty());
+  // Recording restarts at slot 0: only the new events are read back.
+  for (std::uint64_t i = 0; i < 3; ++i) rec.record(RecKind::kMark, 2, 0, 0.0);
+  const std::vector<RecorderEvent> after = rec.snapshot();
+  ASSERT_EQ(after.size(), 3u);
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].request, 2u);
+    EXPECT_EQ(after[i].seq, i);
+  }
+}
+
+TEST(ObsRecorderTest, ArmedStorageIsResidentOnlyWhereWritten) {
+  const long before = chiron::testsupport::resident_bytes();
+  ASSERT_GE(before, 0) << "/proc/self/statm is not readable";
+  // 1 << 22 slots (the largest capacity chironctl accepts) of 48 B is
+  // ~200 MB: a fresh mapping whose pages start non-resident.
+  constexpr std::size_t kCapacity = std::size_t{1} << 22;
+  FlightRecorder rec(kCapacity);
+  rec.set_enabled(true);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    rec.record(RecKind::kMark, i + 1, 0, static_cast<double>(i));
+  }
+  const long grown = chiron::testsupport::resident_bytes() - before;
+  EXPECT_LT(grown, 8L << 20) << "arming touched " << (grown >> 20) << " MB";
+  EXPECT_EQ(rec.capacity(), kCapacity);
+  EXPECT_EQ(rec.dropped_count(), 0u);
+  const std::vector<RecorderEvent> kept = rec.snapshot();
+  ASSERT_EQ(kept.size(), 1000u);
+  EXPECT_EQ(kept.front().request, 1u);
+  EXPECT_EQ(kept.back().seq, 999u);
 }
 
 TEST(ObsRecorderTest, JsonDumpParsesAndCountsAgree) {

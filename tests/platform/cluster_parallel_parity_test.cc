@@ -152,6 +152,20 @@ void expect_thread_parity(const ClusterConfig& config,
   base_config.metrics = base_metrics;
   *base = ClusterSimulator(base_config, params)
               .run_prepared(backend, stages, arrivals, id_base);
+  // Per-node conservation: every completion, cold start and node crash is
+  // counted on exactly one node, whichever half of the engine saw it.
+  ASSERT_EQ(base->node_results.size(), config.nodes);
+  std::size_t completed = 0;
+  std::size_t cold_starts = 0;
+  std::size_t node_crashes = 0;
+  for (const NodeResult& nr : base->node_results) {
+    completed += nr.completed;
+    cold_starts += nr.cold_starts;
+    node_crashes += nr.node_crashes;
+  }
+  EXPECT_EQ(completed, base->completed);
+  EXPECT_EQ(cold_starts, base->cold_starts);
+  EXPECT_EQ(node_crashes, base->node_crashes);
 
   for (const std::size_t threads : {2u, 4u, 8u}) {
     SCOPED_TRACE("sim_threads " + std::to_string(threads));

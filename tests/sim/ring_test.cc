@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 
-#include <unistd.h>
-
 #include "common/rng.h"
+#include "support/resident.h"
 
 namespace chiron {
 namespace {
@@ -80,19 +78,8 @@ TEST(RingTest, FifoAndLifoAcrossWrapAndGrowth) {
   EXPECT_TRUE(ring.empty());
 }
 
-// Resident set size in bytes, from /proc/self/statm (pages).
-long resident_bytes() {
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return -1;
-  long size = 0;
-  long resident = -1;
-  if (std::fscanf(f, "%ld %ld", &size, &resident) != 2) resident = -1;
-  std::fclose(f);
-  return resident < 0 ? -1 : resident * sysconf(_SC_PAGESIZE);
-}
-
 TEST(RingTest, ReserveLeavesUntouchedPagesNonResident) {
-  const long before = resident_bytes();
+  const long before = testsupport::resident_bytes();
   ASSERT_GE(before, 0) << "/proc/self/statm is not readable";
   Ring<Entry> ring;
   // 1 << 22 slots of 24 B = 96 MB: above glibc's mmap-threshold ceiling,
@@ -101,7 +88,7 @@ TEST(RingTest, ReserveLeavesUntouchedPagesNonResident) {
   for (std::uint32_t i = 0; i < 1000; ++i) {
     ring.push_back(Entry{static_cast<double>(i), i, i});
   }
-  const long grown = resident_bytes() - before;
+  const long grown = testsupport::resident_bytes() - before;
   EXPECT_LT(grown, 8L << 20) << "reserve touched " << (grown >> 20) << " MB";
   EXPECT_EQ(ring.size(), 1000u);
   EXPECT_EQ(ring.front().id, 0u);
