@@ -46,9 +46,9 @@
 //
 // --sweep N scores the deployed plan under N traffic scenarios at once:
 // offered load is spread 0.5x..2x around --rps, each scenario is run
-// under several seeds, and all runs fan out across a thread pool via
-// ClusterSimulator::run_batch (deterministic per seed whatever the pool
-// size). One summary line is printed per scenario. Any armed
+// under several seeds, and all runs fan out across one thread per core
+// via ClusterSimulator::run_batch (deterministic per seed whatever the
+// thread count). One summary line is printed per scenario. Any armed
 // --faults/--retry/--timeout-ms apply to every scenario.
 //
 // Run without arguments to see a demo on a built-in definition.
@@ -69,7 +69,7 @@
 
 #include "common/log.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
+#include "common/fork_join.h"
 #include "core/chiron.h"
 #include "core/plan_io.h"
 #include "fault/fault.h"
@@ -442,9 +442,9 @@ int main(int argc, char** argv) {
   if (sweep_n > 0) {
     // Score the deployed plan under a fan of traffic scenarios: offered
     // load spread 0.5x..2x around --rps, each scenario replayed under the
-    // same seed set, all runs fanned across a thread pool by run_batch.
-    // Results are deterministic per (scenario, seed) regardless of pool
-    // size, so these lines are reproducible run-over-run.
+    // same seed set, all runs fanned across threads by run_batch.
+    // Results are deterministic per (scenario, seed) regardless of the
+    // thread count, so these lines are reproducible run-over-run.
     RuntimeParams params;
     WrapPlanBackend backend("chiron", params, def.workflow, d.plan);
 
@@ -474,13 +474,12 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
-    ThreadPool pool(ThreadPool::resolve_workers(0));
+    const std::size_t threads = resolve_workers(0);
     const std::vector<ScenarioOutcome> outcomes =
-        ClusterSimulator::run_batch(specs, seeds, params, &pool);
+        ClusterSimulator::run_batch(specs, seeds, params, threads);
 
     std::cout << "\nsweep: " << specs.size() << " scenarios x "
-              << seeds.size() << " seeds on " << pool.size()
-              << " workers\n";
+              << seeds.size() << " seeds on " << threads << " workers\n";
     for (const ScenarioOutcome& o : outcomes) {
       std::cout << "sweep " << o.name << ": completed " << o.completed
                 << "/" << o.offered << ", latency "

@@ -107,7 +107,7 @@ if [[ "${TSAN}" == "1" ]]; then
   cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}"
   echo "== tsan: concurrency-sensitive subset =="
   ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" \
-    -R 'Engine|LocalRunner|EmulatedGil|Gil|Tracer|Counter|Gauge|Histogram|MetricsRegistry|Instrumentation|ThreadPool|PredictionCache|PgpParity|PgpGolden|Fault|Obs|Sweep|Cluster|Router|Par'
+    -R 'Engine|LocalRunner|EmulatedGil|Gil|Tracer|Counter|Gauge|Histogram|MetricsRegistry|Instrumentation|ForkJoin|PredictionCache|PgpParity|PgpGolden|Fault|Obs|Sweep|Cluster|Router|Par'
 fi
 
 if [[ "${ASAN}" == "1" ]]; then

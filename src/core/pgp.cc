@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/fork_join.h"
 #include "core/kernighan_lin.h"
 #include "obs/trace.h"
 
@@ -159,9 +160,6 @@ PgpScheduler::PgpScheduler(PgpConfig config, Workflow wf,
   for (StageId s = 0; s < wf_.stage_count(); ++s) {
     conflicted_.push_back(compute_conflicted(wf_, s));
   }
-  const std::size_t workers =
-      ThreadPool::resolve_workers(config_.deploy_threads);
-  if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
 }
 
 std::size_t PgpScheduler::search_wrap_count(std::size_t group_count) const {
@@ -289,23 +287,25 @@ PgpResult PgpScheduler::schedule(TimeMs slo_ms) const {
   const std::size_t max_n = std::max<std::size_t>(1, wf_.max_parallelism());
 
   // Outer loop (Algorithm 2 lines 3-12): grow n until the SLO is met.
-  // With a pool, upcoming process counts are evaluated speculatively in
-  // widening waves; results are consumed in ascending n, the smallest
-  // SLO-meeting n is committed, and the stats of overshot counts are
-  // discarded — so plan and telemetry are identical to the sequential
-  // search. The width ramp (1, 2, 4, ...) keeps generous-SLO deployments
-  // (where n = 1 already fits) from paying for wasted speculation.
+  // With deploy_threads > 1, upcoming process counts are evaluated
+  // speculatively in widening waves, each wave one fork-join region (a
+  // one-n wave starts no thread); results are consumed in ascending n,
+  // the smallest SLO-meeting n is committed, and the stats of overshot
+  // counts are discarded — so plan and telemetry are identical to the
+  // sequential search. The width ramp (1, 2, 4, ...) keeps generous-SLO
+  // deployments (where n = 1 already fits) from paying for wasted
+  // speculation.
   std::vector<std::vector<ProcessGroup>> stage_groups(wf_.stage_count());
   WrapPlan plan;
   TimeMs predicted = kInfiniteTime;
   std::size_t chosen_n = max_n;
-  const std::size_t speculation_cap = pool_ ? pool_->size() : 1;
+  const std::size_t threads = resolve_workers(config_.deploy_threads);
   std::size_t next_n = 1;
   std::size_t width = 1;
   bool met = false;
   while (next_n <= max_n && !met) {
     const std::size_t batch = std::min(width, max_n - next_n + 1);
-    auto outcomes = ThreadPool::map(pool_.get(), batch, [&](std::size_t i) {
+    auto outcomes = fork_join(threads, batch, [&](std::size_t i) {
       return evaluate_outer(next_n + i);
     });
     for (std::size_t i = 0; i < batch; ++i) {
@@ -330,7 +330,7 @@ PgpResult PgpScheduler::schedule(TimeMs slo_ms) const {
       }
     }
     next_n += batch;
-    width = std::min(speculation_cap, width * 2);
+    width = std::min(threads, width * 2);
   }
   result.processes = chosen_n;
   result.slo_met = predicted <= slo_ms;

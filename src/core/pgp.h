@@ -14,10 +14,8 @@
 // wraps before partitioning.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/predictor.h"
 #include "core/wrap.h"
 #include "runtime/params.h"
@@ -46,8 +44,9 @@ struct PgpConfig {
   /// Faastlane+10 ms SLO of §6.2): resource savings come from threading,
   /// not from trading the whole SLO slack for time-sharing.
   double resource_slack = 0.10;
-  /// Deploy-path worker threads: speculative outer-loop process counts
-  /// evaluate concurrently (stages within one count run in a plain loop),
+  /// Deploy-path threads: speculative outer-loop process counts evaluate
+  /// concurrently on threads started for each wave and joined before
+  /// schedule() reads it (stages within one count run in a plain loop),
   /// but the committed plan is bit-identical to the sequential search
   /// (parity tested). 0 = auto (hardware concurrency), 1 = fully
   /// sequential.
@@ -123,7 +122,7 @@ class PgpScheduler {
   /// Algorithm 2 lines 5-11 for one process count: partition every stage
   /// in turn, lay the groups out with the search-phase wrap count, and
   /// predict the workflow latency. Runs on the calling thread; schedule()
-  /// fans whole process counts out across the pool.
+  /// fans whole process counts out with fork_join.
   OuterOutcome evaluate_outer(std::size_t n) const;
 
   /// Lays out `groups` into `wrap_count` balanced wraps (plus singleton
@@ -140,9 +139,6 @@ class PgpScheduler {
   Predictor predictor_;
   /// conflicted_[s] = functions of stage s needing a dedicated sandbox.
   std::vector<std::vector<FunctionId>> conflicted_;
-  /// Deploy-path pool; null when config_.deploy_threads resolves to 1.
-  /// Workers idle between schedule() calls.
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace chiron

@@ -93,9 +93,6 @@ class Predictor {
   /// Number of memoized group simulations currently held.
   std::size_t cache_entries() const { return cache_.entry_count(); }
 
-  /// Drops every memoized simulation (hit/miss counters are kept).
-  void clear_cache() const { cache_.clear(); }
-
   /// Mirrors the hit/miss counts gathered since the previous publish into
   /// the global MetricsRegistry (`chiron.predictor.cache.{hit,miss}`).
   /// Called by the deploy path after each schedule; safe to call anytime.
@@ -108,8 +105,7 @@ class Predictor {
                             bool record_spans) const;
   /// Group exec makespan + effective behaviour (for capped stage sim).
   /// Memoized in `cache_` when config_.enable_cache is set; the returned
-  /// pointer stays valid for the predictor's lifetime (or until
-  /// clear_cache()). Thread-safe.
+  /// pointer stays valid for the predictor's lifetime. Thread-safe.
   std::shared_ptr<const InterleaveResult> group_exec(const ProcessGroup& g,
                                                      IsolationMode mode,
                                                      bool record_spans) const;

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/log.h"
-#include "common/thread_pool.h"
+#include "common/fork_join.h"
 #include "metrics/stats.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -93,7 +93,7 @@ ClusterResult ClusterSimulator::run(const Backend& backend,
   // Generate the arrival process and mint the request-id block up front,
   // then hand off to the shared core. run_batch() does the same per
   // (spec, seed) job *sequentially* before fanning out, which is what
-  // keeps batch results independent of the pool size.
+  // keeps batch results independent of the thread count.
   Rng rng(config_.seed);
   ArrivalGenerator arrivals(config_.arrivals, config_.offered_rps,
                             rng.split());
@@ -442,7 +442,7 @@ ClusterResult ClusterSimulator::run_prepared_reference(
 std::vector<ScenarioOutcome> ClusterSimulator::run_batch(
     const std::vector<ScenarioSpec>& specs,
     const std::vector<std::uint64_t>& seeds, const RuntimeParams& params,
-    ThreadPool* pool) {
+    std::size_t threads) {
   // Per-(spec, seed) job, prepared sequentially in spec-major order so the
   // arrival processes and the global request-id blocks are minted in a
   // deterministic sequence regardless of how the runs are later scheduled.
@@ -475,9 +475,9 @@ std::vector<ScenarioOutcome> ClusterSimulator::run_batch(
 
   // Independent deterministic runs: each gets its own simulator (and with
   // it event queue, FaultInjector, Rng streams, and latency accumulator).
-  // map() returns results in job order whatever the worker count.
+  // fork_join returns results in job order whatever the thread count.
   std::vector<ClusterResult> results =
-      ThreadPool::map(pool, jobs.size(), [&](std::size_t j) {
+      fork_join(threads, jobs.size(), [&](std::size_t j) {
         const Job& job = jobs[j];
         const ClusterSimulator sim(job.config, params);
         return sim.run_prepared(*job.backend, job.stages, job.arrivals,

@@ -23,8 +23,6 @@
 
 namespace chiron {
 
-class ThreadPool;
-
 namespace obs {
 class Tracer;
 class MetricsRegistry;
@@ -39,14 +37,15 @@ struct ClusterConfig {
   /// bit-for-bit.
   RouterPolicy router = RouterPolicy::kRoundRobin;
   /// Worker threads for the windowed engine: each node's event shard is
-  /// driven by a worker from a common::ThreadPool, advancing in
-  /// conservative time windows with cross-node events delivered at window
-  /// barriers. 1 (the default) runs the identical windowed schedule
-  /// inline; results are bit-identical for every thread count
-  /// (ShardedParallelParityTest), so this knob trades wall-clock only,
-  /// never results. Only windows that route enough dispatches to pay for
-  /// a barrier are handed to the workers; narrower ones run inline, so
-  /// extra threads never slow a run below its sequential schedule.
+  /// driven by a window worker started for the run and joined before it
+  /// returns, advancing in conservative time windows with cross-node
+  /// events delivered at window barriers. 1 (the default) runs the
+  /// identical windowed schedule inline; results are bit-identical for
+  /// every thread count (ShardedParallelParityTest), so this knob trades
+  /// wall-clock only, never results. Only windows that route enough
+  /// dispatches to pay for a barrier are handed to the workers; narrower
+  /// ones run inline, so extra threads never slow a run below its
+  /// sequential schedule.
   /// 0 = one thread per hardware core. Capped at the node count, so a
   /// one-node run is always sequential.
   std::size_t sim_threads = 1;
@@ -136,7 +135,7 @@ struct ClusterResult {
   std::vector<NodeResult> node_results;
 
   /// Exact (bitwise) equality over every field — the sweep determinism
-  /// tests assert per-seed results are identical across pool sizes.
+  /// tests assert per-seed results are identical across thread counts.
   friend bool operator==(const ClusterResult&, const ClusterResult&) = default;
 };
 
@@ -194,16 +193,17 @@ class ClusterSimulator {
 
   /// Scenario-sweep engine: runs every spec under every seed (spec-major
   /// order) and fans the specs.size() * seeds.size() independent runs
-  /// across `pool` via ThreadPool::map. Each run gets its own
-  /// EventQueue, FaultInjector, Rng stream, and latency accumulator, and
-  /// its block of request ids is pre-minted sequentially before fan-out —
-  /// so per-seed ClusterResults are bit-identical whatever the pool size
-  /// (null or 1 worker = plain sequential loop). An empty `seeds` runs
-  /// each spec once under its own config.seed.
+  /// across `threads` threads (fork_join; started for this call, joined
+  /// before it returns). Each run gets its own EventQueue,
+  /// FaultInjector, Rng stream, and latency accumulator, and its block of
+  /// request ids is pre-minted sequentially before fan-out — so per-seed
+  /// ClusterResults are bit-identical whatever the thread count (0 or 1 =
+  /// plain sequential loop on the caller). An empty `seeds` runs each
+  /// spec once under its own config.seed.
   static std::vector<ScenarioOutcome> run_batch(
       const std::vector<ScenarioSpec>& specs,
       const std::vector<std::uint64_t>& seeds, const RuntimeParams& params,
-      ThreadPool* pool = nullptr);
+      std::size_t threads = 1);
 
   /// Simulation core shared by run() and run_batch(): consumes
   /// pre-generated arrival times and a pre-minted request-id block, so

@@ -65,7 +65,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -75,7 +74,7 @@
 #include <vector>
 
 #include "common/log.h"
-#include "common/thread_pool.h"
+#include "common/fork_join.h"
 #include "fault/fault.h"
 #include "metrics/stats.h"
 #include "obs/metrics.h"
@@ -838,18 +837,24 @@ class WindowedEngine : private ShardHalf {
 
   ClusterResult run() {
     worker_count_ = std::min<std::size_t>(
-        node_count_, ThreadPool::resolve_workers(ctx_.config.sim_threads));
-    std::optional<ThreadPool> pool;
-    std::vector<std::future<void>> worker_done;
-    if (worker_count_ > 1) {
-      pool.emplace(worker_count_);
-      barrier_.emplace(worker_count_);
-      worker_done.reserve(worker_count_);
-      for (std::uint32_t w = 0; w < worker_count_; ++w) {
-        worker_done.push_back(pool->submit([this, w] { work(w); }));
-      }
-    }
+        node_count_, resolve_workers(ctx_.config.sim_threads));
+    // Task 0 is the coordinator, on the calling thread; tasks 1..W are the
+    // window workers, parked on the barrier until the coordinator closes
+    // it. Every worker is joined before teardown.
+    const std::size_t tasks = worker_count_ > 1 ? worker_count_ + 1 : 1;
+    if (tasks > 1) barrier_.emplace(worker_count_);
+    fork_join_each(tasks, tasks, [this](std::size_t task) {
+      if (task > 0) return work(static_cast<std::uint32_t>(task - 1));
+      run_windows();
+      if (barrier_) barrier_->close();
+    });
+    return teardown();
+  }
 
+ private:
+  // The window loop: jump to the next event, process the crashes it
+  // reaches, route the window's batch and run it.
+  void run_windows() {
     std::size_t next_crash = 0;
     TimeMs B = 0.0;
     for (;;) {
@@ -878,15 +883,8 @@ class WindowedEngine : private ShardHalf {
       B = window_end;
       if (!std::isfinite(B)) B = 0.0;  // loop exits via t_min next round
     }
-
-    if (barrier_) {
-      barrier_->close();
-      for (auto& f : worker_done) f.get();
-    }
-    return teardown();
   }
 
- private:
   // Routes one dispatch at barrier time against the published snapshot.
   void route_one(std::uint32_t id, TimeMs at, InboxEntry::Kind kind) {
     ReqState& r = reqs_[id];

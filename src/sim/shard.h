@@ -23,8 +23,8 @@
 namespace chiron {
 namespace sim {
 
-/// Epoch barrier for persistent window workers. Workers are submitted to
-/// a thread pool ONCE and loop: wait for the next epoch, run their
+/// Epoch barrier for the window workers of one run. Each worker starts
+/// once per run and loops: wait for the next epoch, run their
 /// shards up to the published window end, report done. The coordinator
 /// publishes a window with open() and blocks in wait_done(); close()
 /// releases every worker permanently. All signalling is a mutex +

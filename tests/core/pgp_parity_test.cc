@@ -55,7 +55,7 @@ void expect_same(const Observed& ref, const Observed& got,
   EXPECT_EQ(ref.stats.predictor_calls, got.stats.predictor_calls) << label;
 }
 
-TEST(PgpParityTest, ThreadPoolAndCacheDoNotChangeThePlan) {
+TEST(PgpParityTest, DeployThreadsAndCacheDoNotChangeThePlan) {
   const std::vector<Workflow> workflows = {
       make_finra(5),  make_finra(50),       make_social_network(),
       make_slapp(),   make_movie_reviewing()};

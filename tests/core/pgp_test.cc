@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/profiler.h"
+#include "support/threads.h"
 #include "workflow/benchmarks.h"
 
 namespace chiron {
@@ -190,6 +191,21 @@ TEST(PgpTest, BinaryMinCpusMatchesLinearScan) {
           << wf.name() << " slo=" << slo;
     }
   }
+}
+
+TEST(PgpTest, SchedulerHoldsNoThread) {
+  // Each speculative wave starts its threads and joins them before
+  // schedule() reads its results, so a live scheduler owns none.
+  const long before = testsupport::thread_count();
+  if (before < 0) GTEST_SKIP() << "/proc/self/status unreadable";
+  const Workflow wf = make_finra(50);
+  PgpConfig config;
+  config.deploy_threads = 4;
+  const PgpScheduler scheduler = make_scheduler(wf, config);
+  EXPECT_EQ(testsupport::thread_count(), before);
+  const PgpResult result = scheduler.schedule(120.0);
+  ASSERT_GE(result.stats.outer_iterations, 2u);  // a wave wider than one n
+  EXPECT_EQ(testsupport::thread_count(), before);
 }
 
 // Property: across SLO levels, PGP never returns an invalid plan and the

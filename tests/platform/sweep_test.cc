@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "platform/cluster.h"
 #include "platform/systems.h"
 #include "workflow/benchmarks.h"
@@ -65,13 +64,11 @@ TEST(SweepDeterminism, PerSeedResultsIdenticalAcrossPoolSizes) {
   const std::vector<std::uint64_t> seeds{11, 22, 33, 44};
 
   const auto sequential =
-      ClusterSimulator::run_batch(fx.specs(), seeds, fx.opts.params, nullptr);
-  ThreadPool pool4(4);
+      ClusterSimulator::run_batch(fx.specs(), seeds, fx.opts.params, 1);
   const auto par4 =
-      ClusterSimulator::run_batch(fx.specs(), seeds, fx.opts.params, &pool4);
-  ThreadPool pool8(8);
+      ClusterSimulator::run_batch(fx.specs(), seeds, fx.opts.params, 4);
   const auto par8 =
-      ClusterSimulator::run_batch(fx.specs(), seeds, fx.opts.params, &pool8);
+      ClusterSimulator::run_batch(fx.specs(), seeds, fx.opts.params, 8);
 
   ASSERT_EQ(sequential.size(), 3u);
   ASSERT_EQ(par4.size(), 3u);
@@ -100,9 +97,9 @@ TEST(SweepDeterminism, PerSeedResultsIdenticalAcrossPoolSizes) {
 TEST(SweepShardedDeterminism, MultiNodeScenariosIdenticalAcrossPoolSizes) {
   // The windowed multi-node engine inside run_batch workers: stateful
   // routing (warm_affinity), faults, retries, and node crashes, swept
-  // across batch pool sizes 1/4/8. Per-seed results must be
+  // across batch thread counts 1/4/8. Per-seed results must be
   // bit-identical — the engine's schedule depends only on the config, so
-  // neither the batch pool size nor nesting inside pool workers may
+  // neither the batch thread count nor nesting inside batch threads may
   // perturb it.
   const SweepFixture fx;
   ScenarioSpec sharded{"faastlane-sharded", sweep_config(30.0),
@@ -121,15 +118,12 @@ TEST(SweepShardedDeterminism, MultiNodeScenariosIdenticalAcrossPoolSizes) {
   const std::vector<ScenarioSpec> specs{sharded, parallel_engine};
   const std::vector<std::uint64_t> seeds{101, 202, 303};
 
-  ThreadPool pool1(1);
-  ThreadPool pool4(4);
-  ThreadPool pool8(8);
   const auto base =
-      ClusterSimulator::run_batch(specs, seeds, fx.opts.params, &pool1);
+      ClusterSimulator::run_batch(specs, seeds, fx.opts.params, 1);
   const auto par4 =
-      ClusterSimulator::run_batch(specs, seeds, fx.opts.params, &pool4);
+      ClusterSimulator::run_batch(specs, seeds, fx.opts.params, 4);
   const auto par8 =
-      ClusterSimulator::run_batch(specs, seeds, fx.opts.params, &pool8);
+      ClusterSimulator::run_batch(specs, seeds, fx.opts.params, 8);
 
   ASSERT_EQ(base.size(), 2u);
   for (std::size_t s = 0; s < base.size(); ++s) {
@@ -159,7 +153,7 @@ TEST(SweepAggregates, OutcomeIsExactFoldOfRuns) {
   const SweepFixture fx;
   const std::vector<std::uint64_t> seeds{5, 6};
   const auto outcomes =
-      ClusterSimulator::run_batch(fx.specs(), seeds, fx.opts.params, nullptr);
+      ClusterSimulator::run_batch(fx.specs(), seeds, fx.opts.params, 1);
 
   for (const ScenarioOutcome& o : outcomes) {
     SCOPED_TRACE(o.name);
@@ -193,7 +187,7 @@ TEST(SweepSemantics, MatchesSingleRunPerSeed) {
   const std::vector<std::uint64_t> seeds{7, 8, 9};
   ScenarioSpec spec{"faastlane", sweep_config(15.0), fx.faastlane.get(), 1};
   const auto outcomes =
-      ClusterSimulator::run_batch({spec}, seeds, fx.opts.params, nullptr);
+      ClusterSimulator::run_batch({spec}, seeds, fx.opts.params, 1);
   ASSERT_EQ(outcomes.size(), 1u);
   ASSERT_EQ(outcomes[0].runs.size(), seeds.size());
 
@@ -211,7 +205,7 @@ TEST(SweepSemantics, EmptySeedsRunEachSpecOnce) {
   ScenarioSpec spec{"faastlane", sweep_config(15.0), fx.faastlane.get(), 1};
   spec.config.seed = 4242;
   const auto outcomes =
-      ClusterSimulator::run_batch({spec}, {}, fx.opts.params, nullptr);
+      ClusterSimulator::run_batch({spec}, {}, fx.opts.params, 1);
   ASSERT_EQ(outcomes.size(), 1u);
   ASSERT_EQ(outcomes[0].runs.size(), 1u);
   EXPECT_EQ(outcomes[0].seeds, std::vector<std::uint64_t>{4242});
