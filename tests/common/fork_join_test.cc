@@ -29,17 +29,19 @@ TEST(ForkJoinTest, PreservesIndexOrder) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
-TEST(ForkJoinTest, OneThreadOrLessRunsInlineOnTheCaller) {
-  for (const std::size_t threads : {0u, 1u}) {
-    const std::thread::id caller = std::this_thread::get_id();
-    const auto out = fork_join(threads, 5, [&](std::size_t i) {
-      EXPECT_EQ(std::this_thread::get_id(), caller);
-      return i + 1;
-    });
-    ASSERT_EQ(out.size(), 5u);
-    EXPECT_EQ(out[4], 5u);
-  }
+void expect_runs_inline(std::size_t threads) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto out = fork_join(threads, 5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    return i + 1;
+  });
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out[4], 5u);
 }
+
+TEST(ForkJoinTest, ZeroThreadsRunsInlineOnTheCaller) { expect_runs_inline(0); }
+
+TEST(ForkJoinTest, OneThreadRunsInlineOnTheCaller) { expect_runs_inline(1); }
 
 TEST(ForkJoinTest, UsesMultipleThreadsAndTheCallerRunsIndexZero) {
   std::mutex mu;
