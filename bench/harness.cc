@@ -141,31 +141,52 @@ void run(const Flags& flags) {
       "\", \"num_cpus\": " + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
       ", \"load_avg_1min\": " + num(load) + "}";
   const std::regex filter(flags.filter);
-  std::vector<std::string> rows;
+  // Every selected instance, set up before any is timed.
+  struct Instance {
+    const Entry* entry;
+    std::int64_t size;
+    std::string name;
+    Timed timed;
+    std::vector<Row> reps;
+  };
+  std::vector<Instance> instances;
   for (const Entry& e : registry()) {
+    for (std::int64_t size : e.shape.sizes) {
+      std::string name = e.family + (size ? "/" + std::to_string(size) : "") +
+                         (e.shape.real_time ? "/real_time" : "");
+      if (!std::regex_search(name, filter)) continue;
+      instances.push_back({&e, size, std::move(name), e.fn(size), {}});
+    }
+  }
+  // Repetition r of every instance runs before repetition r + 1, so a
+  // stretch of host noise lands on every instance alike rather than on
+  // all repetitions of one of them.
+  for (std::int64_t r = 0; r < flags.repetitions; ++r) {
+    for (Instance& in : instances) {
+      in.reps.push_back(measure(in.timed, flags.min_time,
+                                in.entry->shape.ms ? 1e6 : 1.0));
+    }
+  }
+  std::vector<std::string> rows;
+  for (auto in = instances.begin(); in != instances.end();) {
+    const Entry& e = *in->entry;
     const std::string suffix = e.shape.real_time ? "/real_time" : "";
     const char* unit = e.shape.ms ? "ms" : "ns";
     const double unit_ns = e.shape.ms ? 1e6 : 1.0;
     std::vector<double> n, cpu, real;  // the fit's input, in ns
-    for (std::int64_t size : e.shape.sizes) {
-      const std::string name =
-          e.family + (size ? "/" + std::to_string(size) : "") + suffix;
-      if (!std::regex_search(name, filter)) continue;
-      const Timed timed = e.fn(size);
-      std::vector<Row> reps;
-      for (std::int64_t r = 0; r < flags.repetitions; ++r) {
-        reps.push_back(measure(timed, flags.min_time, unit_ns));
-        n.push_back(static_cast<double>(size));
-        cpu.push_back(reps.back()["cpu_time"] * unit_ns);
-        real.push_back(reps.back()["real_time"] * unit_ns);
+    for (; in != instances.end() && in->entry == &e; ++in) {
+      for (const Row& rep : in->reps) {
+        n.push_back(static_cast<double>(in->size));
+        cpu.push_back(rep.at("cpu_time") * unit_ns);
+        real.push_back(rep.at("real_time") * unit_ns);
         if (!flags.aggregates_only || flags.repetitions == 1) {
-          rows.push_back(json_row(name, name, "", unit, reps.back()));
+          rows.push_back(json_row(in->name, in->name, "", unit, rep));
         }
       }
       if (flags.repetitions == 1) continue;
-      const std::array<Row, 3> stats = aggregate(reps);
+      const std::array<Row, 3> stats = aggregate(in->reps);
       for (std::size_t i = 0; i < stats.size(); ++i) {
-        rows.push_back(json_row(name + "_" + kStatistics[i], name,
+        rows.push_back(json_row(in->name + "_" + kStatistics[i], in->name,
                                 kStatistics[i], unit, stats[i]));
       }
     }

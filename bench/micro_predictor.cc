@@ -4,13 +4,18 @@
 // measured here, and so is PGP scheduling cost as workflows grow to
 // hundreds of functions (the paper reports minute-level offline cost at
 // that scale; KL is the dominant factor and is skipped above
-// kl_function_limit, as §7's discussion suggests).
+// kl_function_limit, as §7's discussion suggests). The ground-truth
+// backend that serves a live plan is timed per request, through run()
+// and through the latency-only entry the serving engines call.
 #include <memory>
 #include <string>
 
+#include "core/chiron.h"
 #include "core/pgp.h"
 #include "core/predictor.h"
 #include "harness.h"
+#include "platform/plan_backend.h"
+#include "platform/systems.h"
 #include "runtime/gil.h"
 #include "runtime/resources.h"
 #include "workflow/benchmarks.h"
@@ -51,6 +56,21 @@ Timed pgp_schedule(std::int64_t n, bool use_kl) {
   const TimeMs slo = 80.0 + 1.5 * static_cast<TimeMs>(n);
   return {[scheduler, slo] {
     do_not_optimize(scheduler->schedule(slo).processes);
+  }};
+}
+
+/// One request of a live backend of the kind bench_e2e's fleet_finra100
+/// serves (Chiron's plan for FINRA-100 at its default SLO), through
+/// run(), which builds every function's timeline, or through latency().
+Timed wrap_plan_backend(bool timelines) {
+  const Workflow wf = make_finra(100);
+  Chiron chiron{ChironConfig{}};
+  auto backend = std::make_shared<WrapPlanBackend>(
+      "chiron", RuntimeParams::defaults(), wf,
+      chiron.deploy(wf, default_slo(wf, SystemOptions{})).plan);
+  return {[backend, timelines, rng = Rng(1)]() mutable {
+    do_not_optimize(timelines ? backend->run(rng).e2e_latency_ms
+                              : backend->latency(rng));
   }};
 }
 
@@ -111,6 +131,11 @@ void register_kernel(const std::string& name,
   RegisterBenchmark("BM_PgpScheduleNoKl",
                     [](std::int64_t n) { return pgp_schedule(n, false); },
                     {{5, 25, 50, 100, 200}, /*ms=*/true});
+
+  RegisterBenchmark("BM_WrapPlanBackendRun/finra100",
+                    [](std::int64_t) { return wrap_plan_backend(true); });
+  RegisterBenchmark("BM_WrapPlanBackendLatency/finra100",
+                    [](std::int64_t) { return wrap_plan_backend(false); });
   return true;
 }();
 

@@ -116,6 +116,8 @@ class Suite:
     guards: list = field(default_factory=list)  # (quick run args, checks)
 
 
+RUN = "BM_WrapPlanBackendRun/finra100"      # a request with its timelines
+LATENCY = "BM_WrapPlanBackendLatency/finra100"  # the serving engines' entry
 SEQ = "BM_ClusterRunSharded/%s/real_time"   # sim_threads = 1
 PAR = "BM_ClusterRunParallel/%s/real_time"  # sim_threads = 4
 F8 = "faults8/96000"
@@ -129,9 +131,18 @@ SUITES = [
             "slow_reference": bigo(family + "SlowRef"),
             "speedup_at_512": Ratio(family + "SlowRef/512", family + "/512"),
         } for family in ("BM_GilSimulationThreads", "BM_CpuShareSimulation")},
+        # One live FINRA-100 request through run() and through latency(),
+        # which builds no timelines and records no spans.
+        "wrap_plan_backend": {"run_ns": raw_time(RUN),
+                              "latency_ns": raw_time(LATENCY),
+                              "latency_speedup": Ratio(RUN, LATENCY)},
     }, guards=[
         (["--benchmark_filter=BM_GilSimulationThreads/",
           "--benchmark_min_time=0.01"], [Fit("BM_GilSimulationThreads")]),
+        (["--benchmark_filter=BM_WrapPlanBackend", "--benchmark_min_time=0.05",
+          "--benchmark_repetitions=3",
+          "--benchmark_report_aggregates_only=true"],
+         [Ratio(RUN, LATENCY, ">=", 2.0)]),
     ]),
     Suite("micro_obs", "BM_RecorderRecord$", derived={"recorder_overhead": {
         "cluster_recorder_on_ms": raw_time("BM_ClusterRecorderOn"),
@@ -220,7 +231,7 @@ def fold(raw, cpus):
         if not isinstance(rule, dict):
             return rule(*env)
         values = {k: evaluate(v, *env) for k, v in rule.items()}
-        return {k: v for k, v in values.items() if v is not None}
+        return {k: v for k, v in values.items() if v not in (None, {})}
     out = {}
     for s in SUITES:
         library = raw[s.name].get("context", {}).get("library_build_type")

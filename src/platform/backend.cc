@@ -40,7 +40,7 @@ TimeMs NoiseConfig::transfer(TimeMs latency, Rng& rng) const {
 TimeMs Backend::mean_latency(Rng& rng, int runs) const {
   if (runs <= 0) return 0.0;
   TimeMs sum = 0.0;
-  for (int i = 0; i < runs; ++i) sum += run(rng).e2e_latency_ms;
+  for (int i = 0; i < runs; ++i) sum += latency(rng);
   return sum / static_cast<TimeMs>(runs);
 }
 

@@ -116,6 +116,13 @@ class Backend {
   /// Simulates one request; `rng` drives the run's jitter.
   virtual RunResult run(Rng& rng) const = 0;
 
+  /// The e2e latency of one simulated request: exactly
+  /// `run(rng).e2e_latency_ms`, drawing the same numbers from `rng` in the
+  /// same order, so either entry can serve a seeded run bit for bit. The
+  /// serving engines call only this. The default runs `run()`; a backend
+  /// whose timeline costs more than its latency overrides it.
+  virtual TimeMs latency(Rng& rng) const { return run(rng).e2e_latency_ms; }
+
   /// Resources the deployment holds while serving (peak residency).
   virtual ResourceUsage resources() const = 0;
 

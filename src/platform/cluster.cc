@@ -276,7 +276,7 @@ ClusterResult ClusterSimulator::run_prepared_reference(
     ReqState& r = reqs[id];
     r.phase = ReqState::Phase::kRunning;
     ++busy;
-    TimeMs service = backend.run(run_rng).e2e_latency_ms;
+    TimeMs service = backend.latency(run_rng);
     if (injector.straggles(id, r.attempt)) {
       service *= config_.faults.straggler_multiplier;
       count_fault(FaultKind::kStraggler);

@@ -485,7 +485,7 @@ class ShardHalf {
     r.phase = ReqState::Phase::kRunning;
     ++s.busy;
     const FaultSpec& faults = ctx_.config.faults;
-    TimeMs service = ctx_.backend.run(s.rng).e2e_latency_ms;
+    TimeMs service = ctx_.backend.latency(s.rng);
     if (ctx_.injector.straggles(id, r.attempt)) {
       service *= faults.straggler_multiplier;
       count_fault(s, FaultKind::kStraggler, id, r.attempt, now,

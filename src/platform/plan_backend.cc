@@ -30,35 +30,46 @@ WrapPlanBackend::WrapPlanBackend(std::string name, RuntimeParams params,
       runtime_(wf_.function_count() > 0 ? wf_.function(0).runtime
                                         : Runtime::kPython3) {
   plan_.validate(wf_);
-}
-
-FunctionBehavior WrapPlanBackend::runtime_behavior(FunctionId f,
-                                                   bool thread_context,
-                                                   std::size_t co_resident,
-                                                   Rng& rng) const {
-  FunctionBehavior b = wf_.function(f).behavior;
-  if (thread_context) {
-    b = params_.thread_behavior(std::move(b), runtime_, plan_.mode,
-                                co_resident);
-    // Contention residual the Predictor does not see.
-    if (has_gil(runtime_) && co_resident > 1 &&
-        noise_.thread_contention > 0.0) {
-      b = b.with_cpu_overhead(noise_.thread_contention *
-                              static_cast<double>(co_resident - 1));
+  // Pool workers and Java threads run each function in its own context;
+  // a function pays the thread overheads when its process hosts threads.
+  const bool parallel = true_parallel(runtime_, plan_.mode);
+  for (const StagePlan& sp : plan_.stages) {
+    for (const Wrap& w : sp.wraps) {
+      for (const ProcessGroup& g : w.processes) {
+        const bool thread_context =
+            !parallel && (g.mode == ExecMode::kThread || g.size() > 1);
+        for (FunctionId f : g.functions) {
+          FunctionBehavior b = wf_.function(f).behavior;
+          if (thread_context) {
+            b = params_.thread_behavior(std::move(b), runtime_, plan_.mode,
+                                        g.size());
+            // Contention residual the Predictor does not see.
+            if (has_gil(runtime_) && g.size() > 1 &&
+                noise_.thread_contention > 0.0) {
+              b = b.with_cpu_overhead(noise_.thread_contention *
+                                      static_cast<double>(g.size() - 1));
+            }
+          }
+          behaviors_.push_back(std::move(b));
+        }
+      }
     }
   }
-  if (noise_.jitter_sigma > 0.0) {
-    std::vector<Segment> segs = b.segments();
-    for (Segment& s : segs) s.duration = noise_.jit(s.duration, rng);
-    b = FunctionBehavior(std::move(segs));
-  }
-  return b;
 }
 
 WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
-    const Wrap& w, std::size_t cap, Rng& rng) const {
+    const Wrap& w, std::size_t cap, const FunctionBehavior* behavior,
+    bool timelines, Rng& rng) const {
   WrapOutcome outcome;
 
+  // The next function's behaviour with one jitter draw per segment.
+  const auto next_task = [&] {
+    ThreadTask task;
+    task.behavior = *behavior++;
+    task.behavior.transform_durations(
+        [&](TimeMs d) { return noise_.jit(d, rng); });
+    return task;
+  };
   const TimeMs gap = params_.spawn_gap_ms(runtime_, plan_.mode);
   if (true_parallel(runtime_, plan_.mode)) {
     // Pool workers / Java threads: one flat true-parallel dispatch.
@@ -66,16 +77,14 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
     std::vector<FunctionId> ids;
     for (const ProcessGroup& g : w.processes) {
       for (FunctionId f : g.functions) {
-        ThreadTask task;
-        task.behavior = runtime_behavior(f, /*thread_context=*/false,
-                                         /*co_resident=*/1, rng);
+        ThreadTask task = next_task();
         task.ready_ms =
             static_cast<TimeMs>(ids.size()) * noise_.jit(gap, rng);
         ids.push_back(f);
         tasks.push_back(std::move(task));
       }
     }
-    CpuShareSimulator sim(cap == 0 ? kUncapped : cap, /*record_spans=*/true);
+    CpuShareSimulator sim(cap == 0 ? kUncapped : cap, timelines);
     InterleaveResult result = sim.run(tasks);
     TimeMs ipc = 0.0;
     if (runtime_ != Runtime::kJava && ids.size() > 1) {
@@ -83,6 +92,7 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
             noise_.jit(params_.ipc_pipe_ms, rng);
     }
     outcome.latency = result.makespan + ipc;
+    if (!timelines) return outcome;
     for (std::size_t i = 0; i < ids.size(); ++i) {
       FunctionTimeline tl;
       tl.id = ids[i];
@@ -96,6 +106,10 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
   }
 
   // Process/thread execution: one GIL interpreter per process group.
+  const std::size_t nproc = w.process_count();
+  // CPU cap below the process count: processes time-share the allocated
+  // cores, and the second-level simulation below reads their spans.
+  const bool time_shared = cap > 0 && nproc > cap;
   struct GroupRun {
     TimeMs base = 0.0;
     TimeMs exec = 0.0;
@@ -105,12 +119,9 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
   std::vector<GroupRun> runs;
   std::size_t fork_index = 0;
   for (const ProcessGroup& g : w.processes) {
-    const bool thread_context = g.mode == ExecMode::kThread || g.size() > 1;
     std::vector<ThreadTask> tasks;
     for (std::size_t i = 0; i < g.functions.size(); ++i) {
-      ThreadTask task;
-      task.behavior =
-          runtime_behavior(g.functions[i], thread_context, g.size(), rng);
+      ThreadTask task = next_task();
       task.ready_ms = static_cast<TimeMs>(i) * noise_.jit(gap, rng);
       tasks.push_back(std::move(task));
     }
@@ -127,7 +138,7 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
                  noise_.jit(params_.process_startup_ms, rng);
       ++fork_index;
     }
-    GilSimulator sim(params_.gil_switch_interval_ms, /*record_spans=*/true,
+    GilSimulator sim(params_.gil_switch_interval_ms, timelines || time_shared,
                      noise_.gil_handoff_ms);
     run.result = sim.run(tasks);
     run.exec = run.result.makespan +
@@ -135,7 +146,6 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
     runs.push_back(std::move(run));
   }
 
-  const std::size_t nproc = w.process_count();
   const TimeMs ipc = nproc > 1 ? static_cast<TimeMs>(nproc - 1) *
                                      noise_.jit(params_.ipc_pipe_ms, rng)
                                : 0.0;
@@ -145,13 +155,12 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
   }
   uncapped += ipc;
 
-  // CPU cap below the process count: processes time-share the allocated
-  // cores. Wrap latency comes from a second-level simulation over each
-  // process's effective CPU/block profile; per-function timelines are
-  // dilated by the resulting slowdown (documented approximation).
+  // Wrap latency under the cap comes from a second-level simulation over
+  // each process's effective CPU/block profile; per-function timelines
+  // are dilated by the resulting slowdown (documented approximation).
   double dilation = 1.0;
   TimeMs capped = uncapped;
-  if (cap > 0 && nproc > cap) {
+  if (time_shared) {
     std::vector<ThreadTask> ptasks;
     for (const GroupRun& r : runs) {
       ThreadTask task;
@@ -164,6 +173,7 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
     if (uncapped > 0.0) dilation = capped / uncapped;
   }
   outcome.latency = capped;
+  if (!timelines) return outcome;
 
   for (GroupRun& r : runs) {
     for (std::size_t i = 0; i < r.group->functions.size(); ++i) {
@@ -188,12 +198,21 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
 }
 
 RunResult WrapPlanBackend::run(Rng& rng) const {
+  return simulate(rng, /*timelines=*/true);
+}
+
+TimeMs WrapPlanBackend::latency(Rng& rng) const {
+  return simulate(rng, /*timelines=*/false).e2e_latency_ms;
+}
+
+RunResult WrapPlanBackend::simulate(Rng& rng, bool timelines) const {
   RunResult result;
   // Whole-run load factor: one correlated multiplier per request. One
   // instance serves the whole wrap deployment, so a straggling instance
   // dilates the entire request.
   double run_scale = noise_.run_scale(rng);
   run_scale *= noise_.straggle(rng);
+  const FunctionBehavior* behavior = behaviors_.data();
   TimeMs t = 0.0;
   for (const StagePlan& sp : plan_.stages) {
     TimeMs stage_latency = 0.0;
@@ -210,8 +229,10 @@ RunResult WrapPlanBackend::run(Rng& rng) const {
         // storage layer retries transparently at a fixed latency cost.
         offset = noise_.transfer(offset, rng);
       }
-      WrapOutcome outcome =
-          simulate_wrap(sp.wraps[k], sp.wrap_cpu_cap(plan_.cpu_cap, k), rng);
+      const Wrap& w = sp.wraps[k];
+      WrapOutcome outcome = simulate_wrap(
+          w, sp.wrap_cpu_cap(plan_.cpu_cap, k), behavior, timelines, rng);
+      behavior += w.function_count();
       stage_latency = std::max(stage_latency, offset + outcome.latency);
       for (FunctionTimeline& tl : outcome.functions) {
         tl.invoke_ms += t + offset;

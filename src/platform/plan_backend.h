@@ -31,6 +31,8 @@ class WrapPlanBackend : public Backend {
 
   std::string name() const override { return name_; }
   RunResult run(Rng& rng) const override;
+  /// run()'s e2e latency, with the same draws, without its timelines.
+  TimeMs latency(Rng& rng) const override;
   ResourceUsage resources() const override;
 
   const WrapPlan& plan() const { return plan_; }
@@ -41,15 +43,16 @@ class WrapPlanBackend : public Backend {
     std::vector<FunctionTimeline> functions;  ///< wrap-local times
   };
 
-  /// Simulates one wrap on `cap` CPUs (0 = uncapped); times are relative
-  /// to the wrap's own start.
-  WrapOutcome simulate_wrap(const Wrap& w, std::size_t cap, Rng& rng) const;
+  /// The one simulation body of run() and latency(): per-function
+  /// timelines are built only when `timelines` is set.
+  RunResult simulate(Rng& rng, bool timelines) const;
 
-  /// True behaviour of `f` as it executes in this run: the modelled
-  /// thread overheads (thread context), the residual contention, and
-  /// per-segment jitter.
-  FunctionBehavior runtime_behavior(FunctionId f, bool thread_context,
-                                    std::size_t co_resident, Rng& rng) const;
+  /// Simulates one wrap on `cap` CPUs (0 = uncapped); times are relative
+  /// to the wrap's own start. `behavior` points at the wrap's first entry
+  /// of `behaviors_`.
+  WrapOutcome simulate_wrap(const Wrap& w, std::size_t cap,
+                            const FunctionBehavior* behavior, bool timelines,
+                            Rng& rng) const;
 
   std::string name_;
   RuntimeParams params_;
@@ -57,6 +60,11 @@ class WrapPlanBackend : public Backend {
   WrapPlan plan_;
   NoiseConfig noise_;
   Runtime runtime_;
+  /// Each function's deterministic behaviour as it executes in this plan:
+  /// the modelled thread overheads (thread context) and the residual
+  /// contention. One entry per function in plan order (stage, wrap,
+  /// process group, function); a request only jitters a copy.
+  std::vector<FunctionBehavior> behaviors_;
 };
 
 }  // namespace chiron

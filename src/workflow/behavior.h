@@ -72,6 +72,14 @@ class FunctionBehavior {
   /// models MPK/SFI instruction-count execution overhead (Table 1).
   FunctionBehavior with_cpu_overhead(double overhead) const;
 
+  /// Replaces every duration d by `f(d)` in place, in segment order; used
+  /// for per-run jitter. `f` must map a positive duration to a positive
+  /// one, which keeps the trace canonical without a rebuild.
+  template <class F>
+  void transform_durations(F&& f) {
+    for (Segment& s : segments_) s.duration = f(s.duration);
+  }
+
   bool empty() const { return segments_.empty(); }
 
   friend bool operator==(const FunctionBehavior&,

@@ -235,5 +235,26 @@ TEST(HarnessRunTest, WritesTheShapeBenchGuardReads) {
                    }));
 }
 
+// Repetition r of every selected instance runs before repetition r + 1,
+// so a paired guard compares repetitions taken side by side. At
+// min_time 0 each repetition calls the body once.
+TEST(HarnessRunTest, RepetitionsInterleaveAcrossInstances) {
+  static std::vector<std::int64_t> order;
+  static const bool ordered = RegisterBenchmark(
+      "BM_HarnessTestOrder",
+      [](std::int64_t n) { return Timed{[n] { order.push_back(n); }}; },
+      {{8, 64}});
+  ASSERT_TRUE(ordered);
+  const std::string out =
+      (std::filesystem::path(testing::TempDir()) / "harness_order.json")
+          .string();
+  const Outcome outcome =
+      run({"--benchmark_filter=BM_HarnessTestOrder", "--benchmark_min_time=0",
+           "--benchmark_repetitions=3", "--benchmark_out=" + out});
+  std::filesystem::remove(out);
+  ASSERT_EQ(outcome.code, 0) << outcome.err;
+  EXPECT_EQ(order, (std::vector<std::int64_t>{8, 64, 8, 64, 8, 64}));
+}
+
 }  // namespace
 }  // namespace chiron::bench

@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "platform/cluster.h"
+#include "platform/plan_backend.h"
 #include "platform/systems.h"
 #include "workflow/benchmarks.h"
 
@@ -49,6 +50,19 @@ class PodBackend : public Backend {
  private:
   TimeMs latency_;
   ResourceUsage usage_;
+};
+
+/// Serves `inner` through its run() alone, so the engines reach it
+/// through the default Backend::latency().
+class RunOnlyBackend : public Backend {
+ public:
+  explicit RunOnlyBackend(const Backend& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  RunResult run(Rng& rng) const override { return inner_.run(rng); }
+  ResourceUsage resources() const override { return inner_.resources(); }
+
+ private:
+  const Backend& inner_;
 };
 
 /// Pre-generates the arrival process exactly as ClusterSimulator::run()
@@ -279,6 +293,40 @@ TEST(ClusterParityTest, PublicRunMatchesPreparedFastLoop) {
   ClusterResult prepared_ref = sim.run_prepared_reference(
       *backend, 1, arrivals_for(config), via_ref.request_id_base);
   EXPECT_EQ(via_ref, prepared_ref);
+}
+
+// The engines serve Backend::latency(), which a live WrapPlanBackend
+// answers without building timelines. Serving it must give the same
+// ClusterResult as serving it through run(): on the windowed engine at 1
+// and 4 sim threads, and on the reference loop.
+TEST(ClusterParityTest, LivePlanBackendServesTheSameThroughLatency) {
+  const Workflow wf = make_finra(5);
+  const RuntimeParams& params = RuntimeParams::defaults();
+  const WrapPlanBackend live("live", params, wf, faastlane_plan(wf));
+  const RunOnlyBackend run_only(live);
+  ClusterConfig config;
+  config.nodes = 4;
+  config.router = RouterPolicy::kLeastOutstanding;
+  config.offered_rps = 150.0;
+  config.horizon_ms = 3000.0;
+  config.seed = 29;
+  config.faults.crash = 0.05;
+  config.faults.straggler = 0.1;
+  config.faults.seed = 29;
+  config.retry.max_attempts = 3;
+  const std::vector<TimeMs> arrivals = arrivals_for(config);
+  const std::uint64_t id_base = obs::mint_request_ids(arrivals.size());
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("sim_threads " + std::to_string(threads));
+    config.sim_threads = threads;
+    const ClusterSimulator sim(config, params);
+    const ClusterResult served = sim.run_prepared(live, 1, arrivals, id_base);
+    EXPECT_GT(served.completed, 100u);
+    EXPECT_EQ(served, sim.run_prepared(run_only, 1, arrivals, id_base));
+  }
+  const ClusterSimulator sim(config, params);
+  EXPECT_EQ(sim.run_prepared_reference(live, 1, arrivals, id_base),
+            sim.run_prepared_reference(run_only, 1, arrivals, id_base));
 }
 
 }  // namespace

@@ -239,6 +239,57 @@ TEST(PlanBackendTest, MeanLatencyAveragesRuns) {
   EXPECT_NEAR(mean, single, 1e-9);  // deterministic without noise
 }
 
+// latency() is run()'s e2e latency without the timelines. Over 200 seeded
+// requests per plan the two agree bit for bit and leave their Rngs in the
+// same state (raw lanes and the Box-Muller spare), so a served run cannot
+// tell which entry it called. The plans cover native GIL processes and
+// threads, MPK, the true-parallel pool, a CPU cap below the process count
+// (the one path that still records spans), zero noise, and a fault
+// injector firing stragglers and transfer retries.
+TEST(PlanBackendTest, LatencyMatchesRunDrawForDraw) {
+  const Workflow wf = make_finra(10);
+  WrapPlan mpk = faastlane_t_plan(wf);
+  mpk.mode = IsolationMode::kMpk;
+  WrapPlan pool = faastlane_plan(wf);
+  pool.mode = IsolationMode::kPool;
+  WrapPlan capped = sand_plan(wf);
+  capped.cpu_cap = 2;
+  NoiseConfig zero = no_noise();
+  zero.gil_handoff_ms = 0.0;
+  zero.model_skew = 0.0;
+  FaultSpec spec;
+  spec.straggler = 0.2;
+  spec.transfer_error = 0.3;
+  const FaultInjector injector(spec);
+  NoiseConfig faulty;
+  faulty.faults = &injector;
+  struct Case {
+    const char* name;
+    WrapPlan plan;
+    NoiseConfig noise;
+  };
+  const Case cases[] = {
+      {"native processes", faastlane_plan(wf), NoiseConfig{}},
+      {"native threads", faastlane_t_plan(wf), NoiseConfig{}},
+      {"mpk", mpk, NoiseConfig{}},
+      {"pool", pool, NoiseConfig{}},
+      {"cpu capped", capped, NoiseConfig{}},
+      {"zero noise", faastlane_plan(wf), zero},
+      {"faults", faastlane_plus_plan(wf, 3), faulty},
+  };
+  for (const Case& c : cases) {
+    const auto backend = make_backend(wf, c.plan, c.noise);
+    const WrapPlanBackend copy = backend;  // its behaviours go by position
+    Rng r1(29), r2(29);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(copy.latency(r1), backend.run(r2).e2e_latency_ms)
+          << c.name << " request " << i;
+    }
+    EXPECT_EQ(r1(), r2()) << c.name;
+    EXPECT_EQ(r1.normal(), r2.normal()) << c.name;
+  }
+}
+
 // Property: per-wrap count sweep — more wraps per stage adds invocation
 // offsets but reduces per-wrap fork block; extremes are both worse than
 // the middle for large parallel stages (the trade-off PGP exploits).
