@@ -28,9 +28,8 @@
 //
 // --faults arms seeded fault injection and runs the deployed plan
 // through the closed-loop cluster simulator. SPEC is a comma list, e.g.
-//   --faults cold=0.05,crash=0.02@0.5,straggler=0.1x4,seed=7
-// The simulator does not inject transfer errors, so a non-zero
-// `transfer` key exits 2.
+//   --faults cold=0.05,crash=0.02@0.5,straggler=0.1x4,node=0.2,seed=7
+// An unknown key exits 2 with the parser's message.
 // --retry sets max attempts per request (default 3 under faults) and
 // --timeout-ms arms a per-request deadline; both apply to that fault run.
 //
@@ -204,13 +203,6 @@ int main(int argc, char** argv) {
       }),
       value("--faults", [&](const std::string& v) {
         faults = parse_fault_spec(v);
-        // Transfer errors are a backend noise fault; the fault run's
-        // cluster simulator never draws them.
-        if (faults.transfer_error > 0.0) {
-          throw std::invalid_argument(
-              "'transfer' is not injected by the cluster simulator (use "
-              "cold, crash, straggler, node, seed)");
-        }
         fault_run = true;
       }),
       value("--retry", [&](const std::string& v) {

@@ -9,69 +9,10 @@
 
 #include "common/log.h"
 #include "exec/emulated_gil.h"
-#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
 
 namespace chiron {
-namespace {
-
-// Cuts a behaviour at `at` milliseconds into its solo execution: the
-// segments before the cut survive, the segment straddling it is shortened.
-FunctionBehavior truncate_behavior(const FunctionBehavior& behavior,
-                                   TimeMs at) {
-  std::vector<Segment> kept;
-  TimeMs elapsed = 0.0;
-  for (const Segment& seg : behavior.segments()) {
-    if (elapsed + seg.duration >= at) {
-      Segment cut = seg;
-      cut.duration = std::max<TimeMs>(0.0, at - elapsed);
-      if (cut.duration > 0.0) kept.push_back(cut);
-      break;
-    }
-    kept.push_back(seg);
-    elapsed += seg.duration;
-  }
-  return FunctionBehavior(std::move(kept));
-}
-
-}  // namespace
-
-LiveFaultReport apply_faults(std::vector<ThreadTask>& tasks,
-                             const FaultInjector& injector,
-                             std::uint64_t request_id) {
-  LiveFaultReport report;
-  report.crashed.assign(tasks.size(), false);
-  if (!injector.enabled()) return report;
-  const FaultSpec& spec = injector.spec();
-  obs::FlightRecorder& rec = obs::FlightRecorder::global();
-  auto note = [&](FaultKind kind, std::uint64_t cell, double value) {
-    count_injected(obs::MetricsRegistry::global(), kind);
-    if (rec.enabled()) {
-      rec.record(rec_kind(kind), request_id, static_cast<std::uint32_t>(cell),
-                 rec.now_ms(), value);
-    }
-  };
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const std::uint64_t cell = i + 1;
-    if (injector.straggles(request_id, cell)) {
-      tasks[i].behavior =
-          tasks[i].behavior.scaled(spec.straggler_multiplier);
-      ++report.stragglers;
-      note(FaultKind::kStraggler, cell, spec.straggler_multiplier);
-    }
-    if (injector.crashes(request_id, cell)) {
-      tasks[i].behavior = truncate_behavior(
-          tasks[i].behavior,
-          tasks[i].behavior.solo_latency() * spec.crash_point);
-      report.crashed[i] = true;
-      ++report.crashes;
-      note(FaultKind::kCrash, cell, spec.crash_point);
-    }
-  }
-  return report;
-}
-
 namespace {
 
 using Clock = std::chrono::steady_clock;

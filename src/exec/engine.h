@@ -9,30 +9,9 @@
 #pragma once
 
 #include "common/types.h"
-#include "fault/fault.h"
 #include "runtime/gil.h"
 
 namespace chiron {
-
-/// What apply_faults did to a task vector.
-struct LiveFaultReport {
-  std::size_t stragglers = 0;  ///< tasks dilated by the straggler multiplier
-  std::size_t crashes = 0;     ///< tasks truncated by a mid-run crash
-  std::vector<bool> crashed;   ///< per task: true when it will die mid-run
-};
-
-/// Applies `injector`'s straggler/crash decisions to live-thread tasks
-/// before execution: a straggling task has every segment dilated by the
-/// spec's multiplier; a crashing task is truncated at crash_point of its
-/// solo latency — the thread runs to that instant and dies, which is how
-/// a real mid-execution crash looks to the wall clock. Task i draws from
-/// decision cell (request_id, i + 1), so a seeded spec reproduces the
-/// same fault pattern run-to-run. Counts each fault on the global
-/// MetricsRegistry (count_injected) and, when enabled, records it on the
-/// global FlightRecorder.
-LiveFaultReport apply_faults(std::vector<ThreadTask>& tasks,
-                             const FaultInjector& injector,
-                             std::uint64_t request_id = 0);
 
 /// Calibrates the spin kernel (first call measures; later calls reuse).
 /// Returns spin iterations per millisecond on this machine.
@@ -52,9 +31,9 @@ void spin_with_gil(TimeMs ms, EmulatedGil& gil);
 /// given switch interval. Wall-clock spans are recorded per task.
 /// A non-zero `request_id` threads end-to-end causality through the live
 /// engine: task spans carry a "request" arg, and the global FlightRecorder
-/// (when enabled) gets exec.begin/exec.end plus per-task fault events
-/// keyed by that id — the same id space the cluster simulator mints at
-/// admission (obs::mint_request_ids).
+/// (when enabled) gets exec.begin/exec.end events keyed by that id — the
+/// same id space the cluster simulator mints at admission
+/// (obs::mint_request_ids).
 InterleaveResult execute_threads_gil(const std::vector<ThreadTask>& tasks,
                                      TimeMs switch_interval_ms,
                                      std::uint64_t request_id = 0);

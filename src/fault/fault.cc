@@ -28,7 +28,6 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kColdStart: return "cold_start";
     case FaultKind::kCrash: return "crash";
     case FaultKind::kStraggler: return "straggler";
-    case FaultKind::kTransfer: return "transfer";
     case FaultKind::kRetryJitter: return "retry_jitter";
     case FaultKind::kNodeCrash: return "node_crash";
   }
@@ -48,8 +47,10 @@ obs::RecKind rec_kind(FaultKind kind) {
     case FaultKind::kCrash: return obs::RecKind::kFaultCrash;
     case FaultKind::kStraggler: return obs::RecKind::kFaultStraggler;
     case FaultKind::kNodeCrash: return obs::RecKind::kNodeCrash;
-    default: return obs::RecKind::kFaultTransfer;
+    case FaultKind::kRetryJitter: break;
   }
+  throw std::logic_error(std::string("rec_kind: '") + to_string(kind) +
+                         "' is not an injected fault");
 }
 
 double FaultInjector::roll(FaultKind kind, std::uint64_t entity,
@@ -159,8 +160,6 @@ FaultSpec parse_fault_spec(const std::string& text) {
         value.resize(x);
       }
       spec.straggler = parse_prob(key, value);
-    } else if (key == "transfer") {
-      spec.transfer_error = parse_prob(key, value);
     } else if (key == "node") {
       spec.node_crash = parse_prob(key, value);
     } else if (key == "seed") {
@@ -189,10 +188,6 @@ std::string to_string(const FaultSpec& spec) {
   if (spec.straggler > 0.0) {
     sep();
     out << "straggler=" << spec.straggler << "x" << spec.straggler_multiplier;
-  }
-  if (spec.transfer_error > 0.0) {
-    sep();
-    out << "transfer=" << spec.transfer_error;
   }
   if (spec.node_crash > 0.0) {
     sep();

@@ -1,13 +1,14 @@
 // Deterministic fault injection and recovery policies.
 //
 // Real FaaS platforms lose sandboxes mid-boot, crash functions mid-run,
-// suffer straggling instances, and drop intermediate-data transfers;
-// workflow engines (Netherite, Durable Functions) build their execution
-// layers around recovering from exactly these events. This layer lets the
-// reproduction subject every execution stack — the closed-loop cluster
-// simulator, the per-request plan backends, and the live std::thread
-// engine — to the same seeded fault model, so SLO behaviour under failure
-// is measurable and *exactly* reproducible.
+// suffer straggling instances and lose whole nodes; workflow engines
+// (Netherite, Durable Functions) recover from these events at the layer
+// that serves and retries requests. So does this reproduction: the
+// serving engine (ClusterSimulator, and its reference oracle) is the only
+// consumer of this seeded fault model. It decides every fault per attempt
+// around the latency a plan backend returns, so SLO behaviour under
+// failure is measurable and *exactly* reproducible. The plan backends and
+// the live std::thread engine inject no faults.
 //
 // Decisions are derived by hashing (seed, kind, entity, attempt) through
 // splitmix64 rather than by consuming a shared Rng stream: a fault roll
@@ -40,11 +41,6 @@ struct FaultSpec {
   double straggler = 0.0;
   /// Service-time dilation of a straggling attempt.
   double straggler_multiplier = 4.0;
-  /// P(one intermediate-data transfer suffers a transient error).
-  double transfer_error = 0.0;
-  /// Latency added by the transparent storage-level retry of one
-  /// transient transfer error.
-  TimeMs transfer_retry_ms = 10.0;
   /// P(a whole node crashes once during the run) — sharded cluster runs
   /// only. A crashing node fails its in-flight attempts, drains its warm
   /// pool, and sends its queued requests back through the router; the
@@ -56,7 +52,7 @@ struct FaultSpec {
   /// True when any fault kind can fire.
   bool enabled() const {
     return cold_start_failure > 0.0 || crash > 0.0 || straggler > 0.0 ||
-           transfer_error > 0.0 || node_crash > 0.0;
+           node_crash > 0.0;
   }
 };
 
@@ -80,17 +76,16 @@ struct RetryPolicy {
 };
 
 /// The fault kinds the injector can decide on. kRetryJitter is not a
-/// fault: it names the decision stream backoff jitter draws from.
-/// kNodeCrash must stay appended after kRetryJitter: the kind's integer
-/// value feeds the decision hash, so inserting earlier would silently
-/// reshuffle every seeded jitter draw.
+/// fault: it names the decision stream backoff jitter draws from. The
+/// kind's integer value feeds the decision hash, so every value is
+/// written out and none may change: renumbering one would silently
+/// reshuffle every seeded draw of that kind. Value 3 is unused.
 enum class FaultKind : std::uint8_t {
-  kColdStart,
-  kCrash,
-  kStraggler,
-  kTransfer,
-  kRetryJitter,
-  kNodeCrash,
+  kColdStart = 0,
+  kCrash = 1,
+  kStraggler = 2,
+  kRetryJitter = 4,
+  kNodeCrash = 5,
 };
 
 /// Human-readable kind name ("cold_start", "crash", ...).
@@ -102,7 +97,8 @@ const char* to_string(FaultKind kind);
 void count_injected(obs::MetricsRegistry& metrics, FaultKind kind,
                     std::int64_t n = 1);
 
-/// The FlightRecorder event kind of an injected fault.
+/// The FlightRecorder event kind of an injected fault. Throws
+/// std::logic_error for kRetryJitter, which is not a fault.
 obs::RecKind rec_kind(FaultKind kind);
 
 /// Stateless decision oracle over a FaultSpec. `entity` is whatever
@@ -141,10 +137,6 @@ class FaultInjector {
     return spec_.straggler > 0.0 &&
            roll(FaultKind::kStraggler, entity, attempt) < spec_.straggler;
   }
-  bool transfer_fails(std::uint64_t entity, std::uint64_t attempt) const {
-    return spec_.transfer_error > 0.0 &&
-           roll(FaultKind::kTransfer, entity, attempt) < spec_.transfer_error;
-  }
   /// Whether node `node` crashes at all during the run (at most once).
   bool node_crashes(std::uint64_t node) const {
     return spec_.node_crash > 0.0 &&
@@ -166,11 +158,11 @@ class FaultInjector {
   FaultSpec spec_;
 };
 
-/// Parses a compact operator-facing spec, e.g.
-///   "cold=0.1,crash=0.05,straggler=0.2x4,transfer=0.1,node=0.2,seed=7"
+/// Parses a compact operator-facing spec for the serving engine, e.g.
+///   "cold=0.1,crash=0.05,straggler=0.2x4,node=0.2,seed=7"
 /// Keys: cold, crash (optional "@frac" crash point, e.g. crash=0.1@0.3),
-/// straggler (optional "xMULT"), transfer, node, seed. Throws
-/// std::invalid_argument on malformed input.
+/// straggler (optional "xMULT"), node, seed. Throws std::invalid_argument
+/// on malformed input or an unknown key.
 FaultSpec parse_fault_spec(const std::string& text);
 
 /// Round-trippable compact rendering of `spec` (only non-zero kinds).

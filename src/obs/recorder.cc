@@ -22,7 +22,6 @@ const char* to_string(RecKind kind) {
     case RecKind::kFaultColdStart: return "fault.cold_start";
     case RecKind::kFaultCrash: return "fault.crash";
     case RecKind::kFaultStraggler: return "fault.straggler";
-    case RecKind::kFaultTransfer: return "fault.transfer";
     case RecKind::kRetryBackoff: return "retry.backoff";
     case RecKind::kTimeout: return "timeout";
     case RecKind::kDrop: return "drop";

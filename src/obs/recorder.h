@@ -42,7 +42,6 @@ enum class RecKind : std::uint8_t {
   kFaultColdStart,  ///< injected sandbox boot failure
   kFaultCrash,      ///< injected mid-run crash
   kFaultStraggler,  ///< injected straggler; value = dilation multiplier
-  kFaultTransfer,   ///< injected transfer error; value = retry ms
   kRetryBackoff,    ///< retry scheduled; value = backoff ms
   kTimeout,         ///< terminal: deadline hit
   kDrop,            ///< terminal: attempts exhausted
@@ -52,8 +51,7 @@ enum class RecKind : std::uint8_t {
   kReplan,          ///< degradation replan issued; value = inflation
   kMark,            ///< free-form marker (examples, tests)
   kNodeCrash,       ///< node crashed (node-scoped: value = victims, or
-                    ///< request-scoped: one per failed in-flight attempt).
-                    ///< Appended last so earlier kinds keep their values.
+                    ///< request-scoped: one per failed in-flight attempt)
 };
 
 /// Stable short name ("admit", "complete", "fault.crash", ...).

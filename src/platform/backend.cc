@@ -1,7 +1,5 @@
 #include "platform/backend.h"
 
-#include "obs/metrics.h"
-
 namespace chiron {
 
 void RunResult::scale(double factor) {
@@ -17,24 +15,6 @@ void RunResult::scale(double factor) {
       span.end *= factor;
     }
   }
-}
-
-double NoiseConfig::straggle(Rng& rng) const {
-  if (faults && faults->spec().straggler > 0.0 &&
-      rng.uniform() < faults->spec().straggler) {
-    count_injected(obs::MetricsRegistry::global(), FaultKind::kStraggler);
-    return faults->spec().straggler_multiplier;
-  }
-  return 1.0;
-}
-
-TimeMs NoiseConfig::transfer(TimeMs latency, Rng& rng) const {
-  if (faults && faults->spec().transfer_error > 0.0 &&
-      rng.uniform() < faults->spec().transfer_error) {
-    count_injected(obs::MetricsRegistry::global(), FaultKind::kTransfer);
-    return latency + faults->spec().transfer_retry_ms;
-  }
-  return latency;
 }
 
 TimeMs Backend::mean_latency(Rng& rng, int runs) const {

@@ -7,9 +7,11 @@
 // interleaving engines and read the same RuntimeParams cost model as the
 // Predictor, on the true behaviours. The only model gaps are the
 // NoiseConfig terms below — per-duration jitter, the whole-run load
-// factor, residual thread contention, the GIL handoff cost, fork and
-// invocation skew, and injected faults — so prediction error (Fig. 12) is
-// an honest measurement of exactly those, not a tautology.
+// factor, residual thread contention, the GIL handoff cost, and fork and
+// invocation skew — so prediction error (Fig. 12) is an honest
+// measurement of exactly those, not a tautology. Backends inject no
+// faults: the serving engine (ClusterSimulator) decides every fault per
+// attempt, around the latency a backend returns.
 #pragma once
 
 #include <algorithm>
@@ -19,7 +21,6 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "fault/fault.h"
 #include "runtime/gil.h"
 #include "runtime/resources.h"
 #include "workflow/workflow.h"
@@ -73,17 +74,6 @@ struct NoiseConfig {
   /// fork costs block * (1 + min(skew * j / 2, 0.25)); the k-th invocation
   /// likewise (the dilation saturates at +25 %).
   double model_skew = 0.012;
-  /// Optional fault oracle (not owned; null or all-zero spec = healthy).
-  /// Backends draw fault decisions from the run's Rng only when a kind is
-  /// armed, so a disabled injector is byte-identical to no injector.
-  /// Straggler faults dilate execution (whole-run for wrap deployments —
-  /// one instance serves the request; per-function for one-to-one);
-  /// transfer faults add the spec's transparent-retry latency to one
-  /// storage/RPC hop. Crashes are attempt-level events recovered by the
-  /// ClusterSimulator's retry policy, not modeled here. A backend carries
-  /// no registry of its own, so each fired fault is counted on the global
-  /// MetricsRegistry.
-  const FaultInjector* faults = nullptr;
 
   /// `value` with one independent jitter draw applied.
   TimeMs jit(TimeMs value, Rng& rng) const {
@@ -97,12 +87,6 @@ struct NoiseConfig {
   double run_scale(Rng& rng) const {
     return run_sigma > 0.0 ? rng.jitter(run_sigma) : 1.0;
   }
-  /// Execution dilation of one instance: the straggler multiplier when an
-  /// injected straggler fault fires, else 1.
-  double straggle(Rng& rng) const;
-  /// `latency` of one storage/RPC hop, plus the transparent retry when an
-  /// injected transfer error fires.
-  TimeMs transfer(TimeMs latency, Rng& rng) const;
 };
 
 /// A deployed system serving one workflow.

@@ -35,17 +35,14 @@ RunResult OneToOneBackend::run(Rng& rng) const {
     // The entry stage receives its payload with the invocation; later
     // stages pull their predecessors' outputs from storage. Fan-in means
     // one GET per predecessor object; requests overlap only partially
-    // (~50 %), so wide fan-ins pay repeatedly (Obs. 1). A transient
-    // storage error on a transfer is retried transparently by the client
-    // library at a fixed latency cost.
+    // (~50 %), so wide fan-ins pay repeatedly (Obs. 1).
     TimeMs pull = 0.0;
     if (s > 0 && upstream_objects > 0) {
       const Bytes avg_obj = upstream_bytes / upstream_objects;
       const double effective_requests =
           1.0 + 0.5 * static_cast<double>(upstream_objects - 1);
-      pull = noise_.transfer(
-          noise_.jit(transfer_.latency_ms(avg_obj) * effective_requests, rng),
-          rng);
+      pull = noise_.jit(transfer_.latency_ms(avg_obj) * effective_requests,
+                        rng);
     }
 
     TimeMs stage_latency = 0.0;
@@ -57,9 +54,6 @@ RunResult OneToOneBackend::run(Rng& rng) const {
       const TimeMs dispatch =
           sched_total * static_cast<TimeMs>(k + 1) / static_cast<TimeMs>(n);
       const TimeMs invoke = noise_.jit(params_.sandbox_invoke_ms, rng);
-      // One-to-one: each function has its own sandbox, so a straggling
-      // instance dilates only that function.
-      const double straggle = noise_.straggle(rng);
       TimeMs exec = 0.0;
       FunctionTimeline tl;
       tl.id = f;
@@ -70,7 +64,7 @@ RunResult OneToOneBackend::run(Rng& rng) const {
         // behaviour directly.
         TimeMs cursor = tl.start_exec_ms;
         for (const Segment& seg : spec.behavior.segments()) {
-          const TimeMs d = noise_.jit(seg.duration, rng) * straggle;
+          const TimeMs d = noise_.jit(seg.duration, rng);
           tl.spans.push_back({seg.kind == Segment::Kind::kCpu
                                   ? TimelineSpan::Kind::kCpu
                                   : TimelineSpan::Kind::kBlock,
@@ -82,9 +76,7 @@ RunResult OneToOneBackend::run(Rng& rng) const {
       // Results of non-final stages are pushed to storage for successors.
       const TimeMs push =
           s + 1 < wf_.stage_count()
-              ? noise_.transfer(
-                    noise_.jit(transfer_.latency_ms(spec.output_bytes), rng),
-                    rng)
+              ? noise_.jit(transfer_.latency_ms(spec.output_bytes), rng)
               : 0.0;
       tl.finish_ms = tl.start_exec_ms + exec + push;
       stage_latency = std::max(stage_latency, tl.finish_ms - t);

@@ -207,11 +207,8 @@ TimeMs WrapPlanBackend::latency(Rng& rng) const {
 
 RunResult WrapPlanBackend::simulate(Rng& rng, bool timelines) const {
   RunResult result;
-  // Whole-run load factor: one correlated multiplier per request. One
-  // instance serves the whole wrap deployment, so a straggling instance
-  // dilates the entire request.
-  double run_scale = noise_.run_scale(rng);
-  run_scale *= noise_.straggle(rng);
+  // Whole-run load factor: one correlated multiplier per request.
+  const double run_scale = noise_.run_scale(rng);
   const FunctionBehavior* behavior = behaviors_.data();
   TimeMs t = 0.0;
   for (const StagePlan& sp : plan_.stages) {
@@ -225,9 +222,6 @@ RunResult WrapPlanBackend::simulate(Rng& rng, bool timelines) const {
                                noise_.jit(params_.inv_ms * noise_.skew(k),
                                           rng) +
                            noise_.jit(params_.rpc_ms, rng);
-        // Transient RPC/payload error on this wrap invocation: the
-        // storage layer retries transparently at a fixed latency cost.
-        offset = noise_.transfer(offset, rng);
       }
       const Wrap& w = sp.wraps[k];
       WrapOutcome outcome = simulate_wrap(

@@ -12,9 +12,9 @@
 // thread overheads, interaction charges, StagePlan::wrap_cpu_cap) and
 // differs from it only by its NoiseConfig: log-normal jitter on every
 // duration, a whole-run load factor, residual contention among
-// co-resident threads, the GIL handoff cost, superlinear fork and
-// invocation skew, and injected faults — giving Fig. 12/14 real error to
-// measure. With a zero NoiseConfig its e2e latency equals the Predictor's.
+// co-resident threads, the GIL handoff cost, and superlinear fork and
+// invocation skew — giving Fig. 12/14 real error to measure. With a zero
+// NoiseConfig its e2e latency equals the Predictor's.
 #pragma once
 
 #include "core/wrap.h"

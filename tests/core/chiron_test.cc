@@ -251,15 +251,19 @@ TEST(ChironDegradationTest, StragglerStormIsRecoveredBelowTheSlo) {
   storm.straggler = 0.3;
   storm.straggler_multiplier = 4.0;
   const FaultInjector injector(storm);
-  NoiseConfig noise;  // default jitter plus the armed injector
-  noise.faults = &injector;
   const RuntimeParams params = RuntimeParams::defaults();
 
+  // The serving engine's straggler rule: request i's latency is dilated
+  // by the multiplier when its first attempt straggles.
   auto observe = [&](const Deployment& d, SloMonitor& monitor) {
-    WrapPlanBackend backend("live", params, wf, d.plan, noise);
+    WrapPlanBackend backend("live", params, wf, d.plan, NoiseConfig{});
     Rng rng(17);
     for (int i = 0; i < 120; ++i) {
-      monitor.record(backend.run(rng).e2e_latency_ms, true);
+      TimeMs latency = backend.latency(rng);
+      if (injector.straggles(static_cast<std::uint64_t>(i), 1)) {
+        latency *= storm.straggler_multiplier;
+      }
+      monitor.record(latency, true);
     }
   };
 

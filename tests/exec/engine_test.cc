@@ -124,59 +124,6 @@ TEST(ExecEngineTest, Fig5ShapeThreadModeStartsFunctionsFaster) {
   }
 }
 
-TEST(ApplyFaultsTest, DisabledInjectorIsIdentity) {
-  std::vector<ThreadTask> tasks{{cpu_bound(10.0), 0.0},
-                                {cpu_bound(5.0), 1.0}};
-  const FaultInjector injector;  // healthy spec
-  const LiveFaultReport report = apply_faults(tasks, injector, 3);
-  EXPECT_EQ(report.stragglers, 0u);
-  EXPECT_EQ(report.crashes, 0u);
-  EXPECT_EQ(report.crashed, (std::vector<bool>{false, false}));
-  EXPECT_DOUBLE_EQ(tasks[0].behavior.solo_latency(), 10.0);
-  EXPECT_DOUBLE_EQ(tasks[1].behavior.solo_latency(), 5.0);
-}
-
-TEST(ApplyFaultsTest, StragglerDilatesAndCrashTruncates) {
-  FaultSpec spec;
-  spec.straggler = 1.0;
-  spec.straggler_multiplier = 4.0;
-  spec.crash = 1.0;
-  spec.crash_point = 0.5;
-  const FaultInjector injector(spec);
-  std::vector<ThreadTask> tasks{{cpu_bound(10.0), 0.0}};
-  const LiveFaultReport report = apply_faults(tasks, injector, 0);
-  EXPECT_EQ(report.stragglers, 1u);
-  EXPECT_EQ(report.crashes, 1u);
-  ASSERT_EQ(report.crashed.size(), 1u);
-  EXPECT_TRUE(report.crashed[0]);
-  // 10 ms -> x4 straggler -> 40 ms -> crash at 50 % -> 20 ms survive.
-  EXPECT_NEAR(tasks[0].behavior.solo_latency(), 20.0, 1e-9);
-}
-
-TEST(ApplyFaultsTest, DeterministicPerRequestId) {
-  FaultSpec spec;
-  spec.crash = 0.5;
-  spec.seed = 11;
-  const FaultInjector injector(spec);
-  std::vector<FunctionBehavior> behaviors(16, cpu_bound(2.0));
-  auto make_tasks = [&] {
-    std::vector<ThreadTask> tasks;
-    for (const FunctionBehavior& b : behaviors) tasks.push_back({b, 0.0});
-    return tasks;
-  };
-  auto a = make_tasks();
-  auto b = make_tasks();
-  const LiveFaultReport ra = apply_faults(a, injector, 9);
-  const LiveFaultReport rb = apply_faults(b, injector, 9);
-  EXPECT_EQ(ra.crashed, rb.crashed);
-  auto c = make_tasks();
-  const LiveFaultReport rc = apply_faults(c, injector, 10);
-  // A different request id draws different decision cells; with 16 tasks
-  // at p = 0.5 the patterns differing is essentially certain, and any
-  // regression to id-independent decisions trips this immediately.
-  EXPECT_NE(rc.crashed, ra.crashed);
-}
-
 TEST(ExecEngineTest, RequestIdThreadsThroughToTheRecorder) {
   // A live execution launched on behalf of a request carries its id into
   // the flight recorder: one exec.begin / exec.end pair keyed by the id.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 namespace chiron {
 namespace {
@@ -17,7 +18,7 @@ TEST(FaultSpecTest, DefaultIsHealthy) {
     EXPECT_FALSE(injector.cold_start_fails(e, 1));
     EXPECT_FALSE(injector.crashes(e, 1));
     EXPECT_FALSE(injector.straggles(e, 1));
-    EXPECT_FALSE(injector.transfer_fails(e, 1));
+    EXPECT_FALSE(injector.node_crashes(e));
   }
 }
 
@@ -26,7 +27,7 @@ TEST(FaultSpecTest, AnyNonZeroKindEnables) {
   spec.crash = 0.01;
   EXPECT_TRUE(spec.enabled());
   spec = FaultSpec{};
-  spec.transfer_error = 0.5;
+  spec.straggler = 0.5;
   EXPECT_TRUE(spec.enabled());
 }
 
@@ -52,7 +53,7 @@ TEST(FaultInjectorTest, CellsAreIndependent) {
   for (std::uint64_t e = 0; e < 20; ++e) {
     for (std::uint64_t attempt = 1; attempt <= 3; ++attempt) {
       for (FaultKind kind : {FaultKind::kColdStart, FaultKind::kCrash,
-                             FaultKind::kStraggler, FaultKind::kTransfer}) {
+                             FaultKind::kStraggler, FaultKind::kNodeCrash}) {
         const double u = inj.roll(kind, e, attempt);
         EXPECT_GE(u, 0.0);
         EXPECT_LT(u, 1.0);
@@ -122,13 +123,13 @@ TEST(RetryPolicyTest, JitterStaysInBounds) {
 
 TEST(FaultSpecTest, ParseRoundTrips) {
   const FaultSpec spec = parse_fault_spec(
-      "cold=0.1,crash=0.05@0.3,straggler=0.2x4,transfer=0.1,seed=7");
+      "cold=0.1,crash=0.05@0.3,straggler=0.2x4,node=0.2,seed=7");
   EXPECT_DOUBLE_EQ(spec.cold_start_failure, 0.1);
   EXPECT_DOUBLE_EQ(spec.crash, 0.05);
   EXPECT_DOUBLE_EQ(spec.crash_point, 0.3);
   EXPECT_DOUBLE_EQ(spec.straggler, 0.2);
   EXPECT_DOUBLE_EQ(spec.straggler_multiplier, 4.0);
-  EXPECT_DOUBLE_EQ(spec.transfer_error, 0.1);
+  EXPECT_DOUBLE_EQ(spec.node_crash, 0.2);
   EXPECT_EQ(spec.seed, 7u);
 
   const FaultSpec again = parse_fault_spec(to_string(spec));
@@ -137,7 +138,7 @@ TEST(FaultSpecTest, ParseRoundTrips) {
   EXPECT_DOUBLE_EQ(again.crash_point, spec.crash_point);
   EXPECT_DOUBLE_EQ(again.straggler, spec.straggler);
   EXPECT_DOUBLE_EQ(again.straggler_multiplier, spec.straggler_multiplier);
-  EXPECT_DOUBLE_EQ(again.transfer_error, spec.transfer_error);
+  EXPECT_DOUBLE_EQ(again.node_crash, spec.node_crash);
   EXPECT_EQ(again.seed, spec.seed);
 }
 
@@ -148,12 +149,14 @@ TEST(FaultSpecTest, ParseRejectsMalformedInput) {
   EXPECT_THROW(parse_fault_spec("crash=0.1@1.5"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("straggler=0.1x0.5"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("cold=-0.1"), std::invalid_argument);
+  // The fault spec has no transfer kind.
+  EXPECT_THROW(parse_fault_spec("transfer=0.1"), std::invalid_argument);
 }
 
 TEST(FaultSpecTest, ParseRejectsNonFiniteAndPartialValues) {
   for (const char* bad :
        {"straggler=0.5xnan", "straggler=0.5xinf", "straggler=0.5x4junk",
-        "straggler=0.5x", "cold=nan", "transfer=inf", "crash=0.1@nan",
+        "straggler=0.5x", "cold=nan", "node=inf", "crash=0.1@nan",
         "node=-nan", "cold=", "cold= 0.1", "cold=0.1 ", "cold=1e999",
         "seed=-1", "seed=+7", "seed=7abc", "seed= 7", "seed=",
         "seed=18446744073709551616"}) {
@@ -179,15 +182,18 @@ TEST(FaultSpecTest, ToStringOmitsDisabledKinds) {
   EXPECT_NE(text.find("crash"), std::string::npos);
   EXPECT_EQ(text.find("cold"), std::string::npos);
   EXPECT_EQ(text.find("straggler"), std::string::npos);
-  EXPECT_EQ(text.find("transfer"), std::string::npos);
+  EXPECT_EQ(text.find("node"), std::string::npos);
 }
 
 TEST(FaultKindTest, NamesAreStable) {
   EXPECT_STREQ(to_string(FaultKind::kColdStart), "cold_start");
   EXPECT_STREQ(to_string(FaultKind::kCrash), "crash");
   EXPECT_STREQ(to_string(FaultKind::kStraggler), "straggler");
-  EXPECT_STREQ(to_string(FaultKind::kTransfer), "transfer");
   EXPECT_STREQ(to_string(FaultKind::kNodeCrash), "node_crash");
+  // kRetryJitter names a decision stream, not a fault: it has no
+  // recorder event kind.
+  EXPECT_STREQ(to_string(FaultKind::kRetryJitter), "retry_jitter");
+  EXPECT_THROW(rec_kind(FaultKind::kRetryJitter), std::logic_error);
 }
 
 TEST(FaultSpecTest, NodeCrashParsesEnablesAndRoundTrips) {

@@ -244,8 +244,8 @@ TEST(PlanBackendTest, MeanLatencyAveragesRuns) {
 // same state (raw lanes and the Box-Muller spare), so a served run cannot
 // tell which entry it called. The plans cover native GIL processes and
 // threads, MPK, the true-parallel pool, a CPU cap below the process count
-// (the one path that still records spans), zero noise, and a fault
-// injector firing stragglers and transfer retries.
+// (the one path that still records spans), zero noise, and several wraps
+// per stage (the invocation-offset draws).
 TEST(PlanBackendTest, LatencyMatchesRunDrawForDraw) {
   const Workflow wf = make_finra(10);
   WrapPlan mpk = faastlane_t_plan(wf);
@@ -257,12 +257,6 @@ TEST(PlanBackendTest, LatencyMatchesRunDrawForDraw) {
   NoiseConfig zero = no_noise();
   zero.gil_handoff_ms = 0.0;
   zero.model_skew = 0.0;
-  FaultSpec spec;
-  spec.straggler = 0.2;
-  spec.transfer_error = 0.3;
-  const FaultInjector injector(spec);
-  NoiseConfig faulty;
-  faulty.faults = &injector;
   struct Case {
     const char* name;
     WrapPlan plan;
@@ -275,7 +269,7 @@ TEST(PlanBackendTest, LatencyMatchesRunDrawForDraw) {
       {"pool", pool, NoiseConfig{}},
       {"cpu capped", capped, NoiseConfig{}},
       {"zero noise", faastlane_plan(wf), zero},
-      {"faults", faastlane_plus_plan(wf, 3), faulty},
+      {"several wraps", faastlane_plus_plan(wf, 3), NoiseConfig{}},
   };
   for (const Case& c : cases) {
     const auto backend = make_backend(wf, c.plan, c.noise);
