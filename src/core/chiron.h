@@ -29,8 +29,8 @@ struct ChironConfig {
   /// Deploy-path worker threads for the PGP search (see PgpConfig);
   /// 0 = auto, 1 = sequential. The produced plan is identical either way.
   std::size_t deploy_threads = 0;
-  /// Memoize predictor group simulations during planning (see
-  /// PgpConfig::prediction_cache).
+  /// Memoize the predictor's CPU-capped group simulations during
+  /// planning (see PgpConfig::prediction_cache).
   bool prediction_cache = true;
   std::uint64_t seed = 0xC41503;
 };

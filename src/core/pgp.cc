@@ -71,10 +71,11 @@ std::vector<FunctionId> compute_conflicted(const Workflow& wf, StageId s) {
 // most two) wraps containing them. The evaluator keeps layout_stage's
 // skeleton for the committed sets and each wrap's latency, and per pair
 // evaluation re-simulates only the touched wraps with the two groups
-// substituted; combined with the Predictor's group memoization, each eval
-// costs two group simulations instead of a full stage re-layout. The
-// offsets are the Predictor's own Eq. (2), so the values are exactly
-// Predictor::stage_latency of the substituted layout.
+// substituted, instead of a full stage re-layout. It relies on no
+// memoization: each touched wrap's groups run the GIL kernel's
+// makespan-only entry straight on the profiles (Predictor::
+// process_latency). The offsets are the Predictor's own Eq. (2), so the
+// values are exactly Predictor::stage_latency of the substituted layout.
 class StageEvaluator {
  public:
   /// `skeleton` is layout_stage's output for the first `group_count`

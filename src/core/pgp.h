@@ -51,8 +51,9 @@ struct PgpConfig {
   /// (parity tested). 0 = auto (hardware concurrency), 1 = fully
   /// sequential.
   std::size_t deploy_threads = 0;
-  /// Memoize ProcessGroup simulations inside the Predictor (see
-  /// prediction_cache.h); identical plans with the cache off.
+  /// Memoize the CPU-capped wraps' group simulations inside the
+  /// Predictor (see prediction_cache.h); identical plans with the cache
+  /// off.
   bool prediction_cache = true;
 };
 

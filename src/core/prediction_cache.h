@@ -1,13 +1,14 @@
-// PredictionCache — memoization of ProcessGroup simulations.
+// PredictionCache — memoization of span-recording ProcessGroup simulations.
 //
-// KL refinement and wrap packing make the Predictor re-simulate the same
-// process group thousands of times: every KL pair evaluation re-predicts a
-// stage in which all but two groups are unchanged, the swap/undo discipline
-// revisits identical configurations across rounds, and the packing phase
-// re-lays-out stages whose groups never change. The cache memoizes the
-// (deterministic) result of Predictor::group_exec keyed by everything the
-// simulation depends on, so repeats hit a hash map instead of re-running
-// the GIL event loop.
+// A CPU-capped wrap is predicted by a second-level simulation over each
+// process's effective CPU/block profile, which needs the group's full
+// timeline spans (Predictor::group_exec). PGP's min-CPU bisection re-asks
+// the same plan at several caps, so the same groups come back with
+// unchanged spans; the cache memoizes the (deterministic) result keyed by
+// everything the simulation depends on. Makespans — every KL evaluation,
+// wrap packing and uncapped prediction — do not go through it: the
+// kernels' makespan-only entry costs less than a lookup that mostly
+// misses.
 //
 // Key canonicalization: a group's function *sequence* is the canonical key,
 // not the sorted set — thread spawn order staggers ready times (Algorithm 1

@@ -13,6 +13,19 @@ namespace {
 
 constexpr std::size_t kUncapped = 1u << 20;
 
+// Scratch of the makespan-only kernel entries, one per thread: the caller
+// and each fork_join helper of a speculative PGP wave simulate on their
+// own, so a workspace is never shared.
+struct Scratch {
+  InterleaveWorkspace ws;
+  std::vector<TaskView> views;
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
 }  // namespace
 
 FunctionBehavior effective_behavior(const InterleaveResult& result) {
@@ -58,33 +71,54 @@ Predictor::Predictor(PredictorConfig config,
   }
 }
 
-InterleaveResult Predictor::run_exec(const std::vector<ThreadTask>& tasks,
-                                     IsolationMode mode, std::size_t cpus,
-                                     bool record_spans) const {
+TimeMs Predictor::exec_makespan(std::span<const TaskView> tasks,
+                                IsolationMode mode, std::size_t cpus) const {
+  InterleaveWorkspace& ws = scratch().ws;
   if (true_parallel(config_.runtime, mode)) {
-    CpuShareSimulator sim(cpus == 0 ? kUncapped : cpus, record_spans);
-    return sim.run(tasks);
+    return CpuShareSimulator(cpus == 0 ? kUncapped : cpus).makespan(tasks, ws);
   }
-  GilSimulator sim(config_.params.gil_switch_interval_ms, record_spans);
-  return sim.run(tasks);
+  return GilSimulator(config_.params.gil_switch_interval_ms)
+      .makespan(tasks, ws);
 }
 
 TimeMs Predictor::thread_exec(const std::vector<FunctionBehavior>& behaviors,
                               IsolationMode mode) const {
-  if (behaviors.empty()) return 0.0;
-  const auto tasks = staggered_tasks(
-      behaviors, config_.params.spawn_gap_ms(config_.runtime, mode));
-  return run_exec(tasks, mode, 0, false).makespan;
+  const TimeMs gap = config_.params.spawn_gap_ms(config_.runtime, mode);
+  std::vector<TaskView>& views = scratch().views;
+  views.clear();
+  for (std::size_t i = 0; i < behaviors.size(); ++i) {
+    views.push_back({&behaviors[i], 0.0, 0.0, static_cast<TimeMs>(i) * gap});
+  }
+  return exec_makespan(views, mode, 0);
+}
+
+TimeMs Predictor::group_makespan(const ProcessGroup& g,
+                                 IsolationMode mode) const {
+  const RuntimeParams& p = config_.params;
+  // Functions sharing a process run as threads (isolation overhead and
+  // GIL contention apply); a lone forked function is a plain process.
+  const bool thread_context = g.mode == ExecMode::kThread || g.size() > 1;
+  const double contention =
+      thread_context ? p.contention_overhead(config_.runtime, g.size()) : 0.0;
+  const TimeMs gap = p.spawn_gap_ms(config_.runtime, mode);
+  std::vector<TaskView>& views = scratch().views;
+  views.clear();
+  for (std::size_t i = 0; i < g.functions.size(); ++i) {
+    const FunctionBehavior& b = profiles_.at(g.functions[i]);
+    views.push_back({&b, thread_context ? p.isolation_overhead(b, mode) : 0.0,
+                     contention, static_cast<TimeMs>(i) * gap});
+  }
+  return exec_makespan(views, mode, 0);
 }
 
 std::shared_ptr<const InterleaveResult> Predictor::group_exec(
-    const ProcessGroup& g, IsolationMode mode, bool record_spans) const {
-  GroupCacheKey key{g.functions, g.mode, mode, /*cpus=*/0, record_spans};
+    const ProcessGroup& g, IsolationMode mode) const {
+  GroupCacheKey key{g.functions, g.mode, mode, /*cpus=*/0,
+                    /*record_spans=*/true};
   if (config_.enable_cache) {
     if (auto hit = cache_.lookup(key)) return hit;
   }
-  // Functions sharing a process run as threads (isolation overhead and
-  // GIL contention apply); a lone forked function is a plain process.
+  // group_makespan's tasks, as the thread-overhead copies run() takes.
   const bool thread_context = g.mode == ExecMode::kThread || g.size() > 1;
   std::vector<FunctionBehavior> behaviors;
   behaviors.reserve(g.size());
@@ -97,7 +131,12 @@ std::shared_ptr<const InterleaveResult> Predictor::group_exec(
   }
   const auto tasks = staggered_tasks(
       behaviors, config_.params.spawn_gap_ms(config_.runtime, mode));
-  InterleaveResult result = run_exec(tasks, mode, 0, record_spans);
+  InterleaveResult result =
+      true_parallel(config_.runtime, mode)
+          ? CpuShareSimulator(kUncapped, /*record_spans=*/true).run(tasks)
+          : GilSimulator(config_.params.gil_switch_interval_ms,
+                         /*record_spans=*/true)
+                .run(tasks);
   if (config_.enable_cache) return cache_.insert(key, std::move(result));
   return std::make_shared<const InterleaveResult>(std::move(result));
 }
@@ -121,8 +160,8 @@ TimeMs Predictor::process_latency(const ProcessGroup& g,
                                   std::size_t fork_index,
                                   IsolationMode mode) const {
   const RuntimeParams& p = config_.params;
-  const TimeMs exec = group_exec(g, mode, false)->makespan +
-                      p.interaction_ms(mode, g.size());
+  const TimeMs exec =
+      group_makespan(g, mode) + p.interaction_ms(mode, g.size());
   if (g.mode == ExecMode::kThread) {
     return exec;  // resident orchestrator process: no fork cost
   }
@@ -137,19 +176,22 @@ TimeMs Predictor::wrap_latency(const Wrap& w, IsolationMode mode,
   if (true_parallel(config_.runtime, mode)) {
     // Pool workers / Java threads: all functions dispatch with a small
     // stagger and run truly parallel on the allocated cores.
-    std::vector<FunctionBehavior> behaviors;
+    const TimeMs gap = p.spawn_gap_ms(config_.runtime, mode);
+    std::vector<TaskView>& views = scratch().views;
+    views.clear();
     for (const ProcessGroup& g : w.processes) {
-      for (FunctionId f : g.functions) behaviors.push_back(profiles_.at(f));
+      for (FunctionId f : g.functions) {
+        views.push_back({&profiles_.at(f), 0.0, 0.0,
+                         static_cast<TimeMs>(views.size()) * gap});
+      }
     }
-    const auto tasks =
-        staggered_tasks(behaviors, p.spawn_gap_ms(config_.runtime, mode));
-    const TimeMs exec = run_exec(tasks, mode, cpu_cap, false).makespan;
+    const std::size_t count = views.size();
+    const TimeMs exec = exec_makespan(views, mode, cpu_cap);
     // Pool workers exchange data over pipes; Java threads share memory.
-    const TimeMs ipc = config_.runtime == Runtime::kJava
-                           ? 0.0
-                           : p.ipc_pipe_ms *
-                                 static_cast<TimeMs>(
-                                     behaviors.empty() ? 0 : behaviors.size() - 1);
+    const TimeMs ipc =
+        config_.runtime == Runtime::kJava
+            ? 0.0
+            : p.ipc_pipe_ms * static_cast<TimeMs>(count == 0 ? 0 : count - 1);
     return exec + ipc;
   }
 
@@ -173,7 +215,7 @@ TimeMs Predictor::wrap_latency(const Wrap& w, IsolationMode mode,
   std::size_t fork_index = 0;
   for (const ProcessGroup& g : w.processes) {
     ThreadTask task;
-    task.behavior = effective_behavior(*group_exec(g, mode, true));
+    task.behavior = effective_behavior(*group_exec(g, mode));
     if (g.mode == ExecMode::kThread) {
       task.ready_ms = 0.0;
     } else {

@@ -9,7 +9,10 @@
 // T_exec of a multi-thread process comes from Algorithm 1: an event-driven
 // simulation of GIL switching over the profiled CPU/block periods
 // (runtime/gil.h). Pool and Java configurations replace the GIL engine
-// with true-parallel processor sharing.
+// with true-parallel processor sharing. Every makespan the search asks
+// for (thread_exec, process_latency, an uncapped wrap) runs the kernels'
+// makespan-only entry straight on the profiles: the thread overheads are
+// applied inside the kernel, and the scratch is one workspace per thread.
 //
 // When a plan caps its CPU allocation below the number of concurrent
 // processes, the stage estimate runs a second level of simulation: each
@@ -21,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/prediction_cache.h"
@@ -38,9 +42,10 @@ struct PredictorConfig {
   /// Multiplies the final estimate; Chiron plans with a conservative
   /// factor > 1 to keep SLO violations rare (§6.2, Fig. 14).
   double conservative_factor = 1.0;
-  /// Memoize per-ProcessGroup simulations (prediction_cache.h). Results
-  /// are bit-identical with the cache off; disable only to measure the
-  /// cold simulation cost (bench) or to bound memory on huge sweeps.
+  /// Memoize the span-recording group simulations of CPU-capped wraps
+  /// (prediction_cache.h), which the min-CPU bisection re-asks with
+  /// unchanged groups. Makespans never go through the cache. Results are
+  /// bit-identical with the cache off.
   bool enable_cache = true;
 };
 
@@ -87,7 +92,8 @@ class Predictor {
   const PredictorConfig& config() const { return config_; }
   const std::vector<FunctionBehavior>& profiles() const { return profiles_; }
 
-  /// Prediction-cache hit/miss counts accumulated by this predictor.
+  /// Prediction-cache hit/miss counts accumulated by this predictor
+  /// (CPU-capped wraps only).
   PredictionCache::Stats cache_stats() const { return cache_.stats(); }
 
   /// Number of memoized group simulations currently held.
@@ -99,16 +105,19 @@ class Predictor {
   void publish_cache_metrics() const;
 
  private:
-  /// Runs the right interleaving engine for this runtime/mode.
-  InterleaveResult run_exec(const std::vector<ThreadTask>& tasks,
-                            IsolationMode mode, std::size_t cpus,
-                            bool record_spans) const;
-  /// Group exec makespan + effective behaviour (for capped stage sim).
-  /// Memoized in `cache_` when config_.enable_cache is set; the returned
-  /// pointer stays valid for the predictor's lifetime. Thread-safe.
+  /// Makespan of `tasks` on the right interleaving engine for this
+  /// runtime/mode (`cpus` = 0: uncapped), on this thread's workspace.
+  TimeMs exec_makespan(std::span<const TaskView> tasks, IsolationMode mode,
+                       std::size_t cpus) const;
+  /// Algorithm 1 makespan of group `g`: its functions as staggered
+  /// threads, with the thread overheads of `g`'s context.
+  TimeMs group_makespan(const ProcessGroup& g, IsolationMode mode) const;
+  /// group_makespan's simulation with timeline spans, for the capped
+  /// stage simulation's effective behaviours. Memoized in `cache_` when
+  /// config_.enable_cache is set; the returned pointer stays valid for the
+  /// predictor's lifetime. Thread-safe.
   std::shared_ptr<const InterleaveResult> group_exec(const ProcessGroup& g,
-                                                     IsolationMode mode,
-                                                     bool record_spans) const;
+                                                     IsolationMode mode) const;
 
   PredictorConfig config_;
   std::vector<FunctionBehavior> profiles_;

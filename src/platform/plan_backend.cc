@@ -1,6 +1,7 @@
 #include "platform/plan_backend.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "core/predictor.h"
@@ -10,6 +11,21 @@ namespace chiron {
 namespace {
 
 constexpr std::size_t kUncapped = 1u << 20;
+
+// Scratch of latency()'s makespan-only path, one per thread (each window
+// worker and the coordinator serve on their own): a request's jittered
+// behaviours, their task views and the kernel workspace. Reusing them
+// keeps a warm serving thread from allocating per request.
+struct Scratch {
+  std::vector<FunctionBehavior> jittered;
+  std::vector<TaskView> views;
+  InterleaveWorkspace ws;
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
 
 void shift_spans(std::vector<TimelineSpan>& spans, TimeMs by) {
   for (TimelineSpan& s : spans) {
@@ -63,44 +79,66 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
   WrapOutcome outcome;
 
   // The next function's behaviour with one jitter draw per segment.
-  const auto next_task = [&] {
-    ThreadTask task;
-    task.behavior = *behavior++;
-    task.behavior.transform_durations(
-        [&](TimeMs d) { return noise_.jit(d, rng); });
-    return task;
+  const auto jitter_next = [&](FunctionBehavior& b) {
+    b = *behavior++;
+    b.transform_durations([&](TimeMs d) { return noise_.jit(d, rng); });
   };
+  // The next `count` functions as staggered tasks: each one's segment
+  // jitter, then its spawn-gap jitter. next_tasks copies them into
+  // ThreadTasks for run(); next_views draws the same numbers into this
+  // thread's scratch for the makespan-only entry.
   const TimeMs gap = params_.spawn_gap_ms(runtime_, plan_.mode);
+  const auto next_tasks = [&](std::size_t count) {
+    std::vector<ThreadTask> tasks(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      jitter_next(tasks[i].behavior);
+      tasks[i].ready_ms = static_cast<TimeMs>(i) * noise_.jit(gap, rng);
+    }
+    return tasks;
+  };
+  const auto next_views = [&](std::size_t count) {
+    Scratch& s = scratch();
+    if (s.jittered.size() < count) s.jittered.resize(count);
+    s.views.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      jitter_next(s.jittered[i]);
+      s.views.push_back({&s.jittered[i], 0.0, 0.0,
+                         static_cast<TimeMs>(i) * noise_.jit(gap, rng)});
+    }
+    return std::span<const TaskView>(s.views);
+  };
+
   if (true_parallel(runtime_, plan_.mode)) {
     // Pool workers / Java threads: one flat true-parallel dispatch.
-    std::vector<ThreadTask> tasks;
-    std::vector<FunctionId> ids;
-    for (const ProcessGroup& g : w.processes) {
-      for (FunctionId f : g.functions) {
-        ThreadTask task = next_task();
-        task.ready_ms =
-            static_cast<TimeMs>(ids.size()) * noise_.jit(gap, rng);
-        ids.push_back(f);
-        tasks.push_back(std::move(task));
-      }
-    }
+    const std::size_t count = w.function_count();
     CpuShareSimulator sim(cap == 0 ? kUncapped : cap, timelines);
-    InterleaveResult result = sim.run(tasks);
+    InterleaveResult result;
+    TimeMs exec;
+    if (timelines) {
+      result = sim.run(next_tasks(count));
+      exec = result.makespan;
+    } else {
+      exec = sim.makespan(next_views(count), scratch().ws);
+    }
     TimeMs ipc = 0.0;
-    if (runtime_ != Runtime::kJava && ids.size() > 1) {
-      ipc = static_cast<TimeMs>(ids.size() - 1) *
+    if (runtime_ != Runtime::kJava && count > 1) {
+      ipc = static_cast<TimeMs>(count - 1) *
             noise_.jit(params_.ipc_pipe_ms, rng);
     }
-    outcome.latency = result.makespan + ipc;
+    outcome.latency = exec + ipc;
     if (!timelines) return outcome;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      FunctionTimeline tl;
-      tl.id = ids[i];
-      tl.invoke_ms = result.tasks[i].ready_ms;
-      tl.start_exec_ms = result.tasks[i].start_ms;
-      tl.finish_ms = result.tasks[i].finish_ms;
-      tl.spans = std::move(result.tasks[i].spans);
-      outcome.functions.push_back(std::move(tl));
+    std::size_t i = 0;
+    for (const ProcessGroup& g : w.processes) {
+      for (FunctionId f : g.functions) {
+        TaskResult& task = result.tasks[i++];
+        FunctionTimeline tl;
+        tl.id = f;
+        tl.invoke_ms = task.ready_ms;
+        tl.start_exec_ms = task.start_ms;
+        tl.finish_ms = task.finish_ms;
+        tl.spans = std::move(task.spans);
+        outcome.functions.push_back(std::move(tl));
+      }
     }
     return outcome;
   }
@@ -110,23 +148,28 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
   // CPU cap below the process count: processes time-share the allocated
   // cores, and the second-level simulation below reads their spans.
   const bool time_shared = cap > 0 && nproc > cap;
+  const bool spans = timelines || time_shared;
   struct GroupRun {
     TimeMs base = 0.0;
     TimeMs exec = 0.0;
     InterleaveResult result;
     const ProcessGroup* group = nullptr;
   };
-  std::vector<GroupRun> runs;
+  std::vector<GroupRun> runs;  // kept only when spans are read
+  TimeMs uncapped = 0.0;
   std::size_t fork_index = 0;
+  const GilSimulator sim(params_.gil_switch_interval_ms, spans,
+                         noise_.gil_handoff_ms);
   for (const ProcessGroup& g : w.processes) {
-    std::vector<ThreadTask> tasks;
-    for (std::size_t i = 0; i < g.functions.size(); ++i) {
-      ThreadTask task = next_task();
-      task.ready_ms = static_cast<TimeMs>(i) * noise_.jit(gap, rng);
-      tasks.push_back(std::move(task));
-    }
     GroupRun run;
     run.group = &g;
+    if (spans) {
+      run.result = sim.run(next_tasks(g.size()));
+      run.exec = run.result.makespan;
+    } else {
+      run.exec = sim.makespan(next_views(g.size()), scratch().ws);
+    }
+    run.exec += params_.interaction_ms(plan_.mode, g.size());
     if (g.mode == ExecMode::kThread) {
       run.base = 0.0;  // resident orchestrator
     } else {
@@ -138,21 +181,13 @@ WrapPlanBackend::WrapOutcome WrapPlanBackend::simulate_wrap(
                  noise_.jit(params_.process_startup_ms, rng);
       ++fork_index;
     }
-    GilSimulator sim(params_.gil_switch_interval_ms, timelines || time_shared,
-                     noise_.gil_handoff_ms);
-    run.result = sim.run(tasks);
-    run.exec = run.result.makespan +
-               params_.interaction_ms(plan_.mode, g.size());
-    runs.push_back(std::move(run));
+    uncapped = std::max(uncapped, run.base + run.exec);
+    if (spans) runs.push_back(std::move(run));
   }
 
   const TimeMs ipc = nproc > 1 ? static_cast<TimeMs>(nproc - 1) *
                                      noise_.jit(params_.ipc_pipe_ms, rng)
                                : 0.0;
-  TimeMs uncapped = 0.0;
-  for (const GroupRun& r : runs) {
-    uncapped = std::max(uncapped, r.base + r.exec);
-  }
   uncapped += ipc;
 
   // Wrap latency under the cap comes from a second-level simulation over
@@ -236,7 +271,7 @@ RunResult WrapPlanBackend::simulate(Rng& rng, bool timelines) const {
         result.functions.push_back(std::move(tl));
       }
     }
-    result.stage_latency_ms.push_back(stage_latency);
+    if (timelines) result.stage_latency_ms.push_back(stage_latency);
     t += stage_latency;
   }
   result.e2e_latency_ms = t;

@@ -44,7 +44,9 @@ class WrapPlanBackend : public Backend {
   };
 
   /// The one simulation body of run() and latency(): per-function
-  /// timelines are built only when `timelines` is set.
+  /// timelines and per-stage latencies are built only when `timelines` is
+  /// set. Without them, every simulation whose spans nobody reads runs
+  /// the kernels' makespan-only entry on this thread's scratch.
   RunResult simulate(Rng& rng, bool timelines) const;
 
   /// Simulates one wrap on `cap` CPUs (0 = uncapped); times are relative

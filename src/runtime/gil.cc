@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "runtime/interleave_detail.h"
 
@@ -13,8 +12,9 @@ using interleave_detail::State;
 using interleave_detail::TaskState;
 using interleave_detail::collect;
 using interleave_detail::enter_segment;
-using interleave_detail::init_states;
 using interleave_detail::kEps;
+using interleave_detail::load;
+using interleave_detail::makespan_of;
 using interleave_detail::push_span;
 
 // Admits arrivals and expired blocks up to time `now`. Runs to a fixpoint
@@ -54,16 +54,11 @@ bool all_done(const std::vector<TaskState>& states) {
   });
 }
 
-}  // namespace
-
-GilSimulator::GilSimulator(TimeMs switch_interval_ms, bool record_spans,
-                           TimeMs switch_cost_ms)
-    : switch_interval_(switch_interval_ms),
-      record_spans_(record_spans),
-      switch_cost_(switch_cost_ms) {}
-
-InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
-  std::vector<TaskState> states = init_states(tasks);
+// The event-driven kernel over the tasks loaded into `ws.states`; leaves
+// every task kDone with its finish time.
+void simulate(interleave_detail::Workspace& ws, TimeMs switch_interval,
+              TimeMs switch_cost, bool record_spans) {
+  std::vector<TaskState>& states = ws.states;
   const std::size_t n = states.size();
   constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
@@ -73,17 +68,8 @@ InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
   // by id, but admissions only touch per-task state, so order is
   // irrelevant to the result — this is what makes the heap bit-identical
   // to the reference fixpoint scan.
-  struct Ev {
-    TimeMs at;
-    std::size_t id;
-  };
-  struct EvLater {
-    bool operator()(const Ev& a, const Ev& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> events;
+  auto& events = ws.events;
+  events.clear();
 
   // CFS pick structure: min by exact (cpu, ready, id). The reference scan
   // compares cpu with a +-kEps tolerance; distinct cpu totals are either
@@ -92,26 +78,17 @@ InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
   // reproduces the reference fold — see DESIGN.md "Prediction kernel
   // complexity". Entries go stale lazily: `gen` is bumped whenever a
   // task's cpu changes or it leaves the runnable set.
-  struct Cand {
-    TimeMs cpu;
-    TimeMs ready;
-    std::size_t id;
-    std::uint64_t gen;
-  };
-  struct CandLater {
-    bool operator()(const Cand& a, const Cand& b) const {
-      if (a.cpu != b.cpu) return a.cpu > b.cpu;
-      if (a.ready != b.ready) return a.ready > b.ready;
-      return a.id > b.id;
-    }
-  };
-  std::priority_queue<Cand, std::vector<Cand>, CandLater> cands;
-  std::vector<std::uint64_t> gen(n, 0);
+  auto& cands = ws.cands;
+  cands.clear();
+  std::vector<std::uint64_t>& gen = ws.gen;
+  gen.assign(n, 0);
 
   // O(1) runnable set (ids + positions): contended check and wait-span
   // enumeration.
-  std::vector<std::size_t> runnable;
-  std::vector<std::size_t> pos(n, kNoPos);
+  std::vector<std::size_t>& runnable = ws.runnable;
+  runnable.clear();
+  std::vector<std::size_t>& pos = ws.pos;
+  pos.assign(n, kNoPos);
   std::size_t done = 0;
 
   auto add_runnable = [&](std::size_t id) {
@@ -154,11 +131,11 @@ InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
       events.pop();
       TaskState& t = states[id];
       if (t.state == State::kNotReady) {
-        enter_segment(t, t.ready, record_spans_);
+        enter_segment(t, t.ready, record_spans);
       } else {
         const TimeMs at = t.unblock;
         ++t.seg;
-        enter_segment(t, at, record_spans_);
+        enter_segment(t, at, record_spans);
       }
       settle(id);
     }
@@ -176,8 +153,8 @@ InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
     const std::size_t holder = cands.top().id;
 
     // Handoff cost when the interpreter switches threads.
-    if (switch_cost_ > 0.0 && holder != last_holder && last_holder != n) {
-      now += switch_cost_;
+    if (switch_cost > 0.0 && holder != last_holder && last_holder != n) {
+      now += switch_cost;
     }
     last_holder = holder;
 
@@ -185,11 +162,11 @@ InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
     if (h.start < 0.0) h.start = now;
     const bool contended = runnable.size() > 1;
     TimeMs dt = h.seg_remaining;
-    if (contended) dt = std::min(dt, switch_interval_);
+    if (contended) dt = std::min(dt, switch_interval);
     dt = std::max(dt, kEps);
 
-    push_span(h, record_spans_, TimelineSpan::Kind::kCpu, now, now + dt);
-    if (record_spans_) {
+    push_span(h, record_spans, TimelineSpan::Kind::kCpu, now, now + dt);
+    if (record_spans) {
       for (std::size_t idx : runnable) {
         if (idx != holder) {
           push_span(states[idx], true, TimelineSpan::Kind::kWait, now, now + dt);
@@ -204,18 +181,46 @@ InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
     if (h.seg_remaining <= kEps) {
       ++h.seg;
       remove_runnable(holder);
-      enter_segment(h, now, record_spans_);
+      enter_segment(h, now, record_spans);
       settle(holder);
     } else {
       cands.push({h.cpu, h.ready, holder, gen[holder]});
     }
   }
-  return collect(states);
+}
+
+}  // namespace
+
+InterleaveWorkspace::InterleaveWorkspace()
+    : impl_(std::make_unique<interleave_detail::Workspace>()) {}
+
+InterleaveWorkspace::~InterleaveWorkspace() = default;
+
+GilSimulator::GilSimulator(TimeMs switch_interval_ms, bool record_spans,
+                           TimeMs switch_cost_ms)
+    : switch_interval_(switch_interval_ms),
+      record_spans_(record_spans),
+      switch_cost_(switch_cost_ms) {}
+
+InterleaveResult GilSimulator::run(const std::vector<ThreadTask>& tasks) const {
+  interleave_detail::Workspace ws;
+  load(ws.states, tasks);
+  simulate(ws, switch_interval_, switch_cost_, record_spans_);
+  return collect(ws.states);
+}
+
+TimeMs GilSimulator::makespan(std::span<const TaskView> tasks,
+                              InterleaveWorkspace& ws) const {
+  interleave_detail::Workspace& w = *ws.impl_;
+  load(w.states, tasks);
+  simulate(w, switch_interval_, switch_cost_, /*record_spans=*/false);
+  return makespan_of(w.states);
 }
 
 InterleaveResult GilSimulator::run_slow_reference(
     const std::vector<ThreadTask>& tasks) const {
-  std::vector<TaskState> states = init_states(tasks);
+  std::vector<TaskState> states;
+  load(states, tasks);
   TimeMs now = 0.0;
   std::size_t last_holder = states.size();  // sentinel: no previous holder
 

@@ -10,17 +10,28 @@
 // bounded number of CPUs with fluid processor sharing — the behaviour of
 // Java threads and of a process pool pinned to k cores (paper §4, Fig. 7).
 //
-// Both engines consume the same ThreadTask inputs and produce the same
-// result shape, so every deployment backend and the Predictor share them.
+// Both engines consume the same inputs (ThreadTasks or TaskViews) and
+// produce the same result shape, so every deployment backend and the
+// Predictor share them.
 //
-// Each engine ships two implementations: run() is the event-driven
-// O(E log N) kernel (next-event calendar + indexed run queue) that every
-// caller uses, and run_slow_reference() is the original scan-per-step
-// O(E*N) loop kept as the semantic reference — parity tests assert the
-// two return bit-identical results (see DESIGN.md "Prediction kernel
+// Each engine has two entries over one event-driven O(E log N) kernel
+// (next-event calendar + indexed run queue):
+//   * run() takes ThreadTasks by value and returns per-task results and,
+//     when asked, timeline spans — for the figures, timelines and the
+//     CPU-capped second-level simulation;
+//   * makespan() takes TaskViews that borrow their behaviours, scales CPU
+//     segments on entry the way RuntimeParams::thread_behavior scales a
+//     copy, reuses a caller-owned InterleaveWorkspace, records nothing and
+//     returns only the makespan — the Predictor's KL evaluations and the
+//     serving path of a live plan.
+// run_slow_reference() is the original scan-per-step O(E*N) loop, kept as
+// the one semantic oracle for both: parity tests assert run() and
+// makespan() match it bit for bit (see DESIGN.md "Prediction kernel
 // complexity & scenario sweeps").
 #pragma once
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -32,6 +43,39 @@ namespace chiron {
 struct ThreadTask {
   FunctionBehavior behavior;
   TimeMs ready_ms = 0.0;
+};
+
+/// A task of the makespan-only entries. It borrows its behaviour (which
+/// must outlive the call) and executes every CPU segment of duration d for
+/// d * (1 + exec_overhead) * (1 + contention_overhead), multiplied in that
+/// order as two steps: exactly what run() computes on the copy that
+/// RuntimeParams::thread_behavior builds with these two overheads.
+struct TaskView {
+  const FunctionBehavior* behavior = nullptr;
+  double exec_overhead = 0.0;        ///< MPK/SFI execution overhead
+  double contention_overhead = 0.0;  ///< thread_contention(k) - 1
+  TimeMs ready_ms = 0.0;
+};
+
+namespace interleave_detail {
+struct Workspace;
+}
+
+/// Scratch storage of the makespan-only entries: task states, event and
+/// pick heaps, and the run-queue index. Reusing one across calls lets a
+/// warm workspace simulate without allocating. Not thread-safe: give each
+/// thread its own.
+class InterleaveWorkspace {
+ public:
+  InterleaveWorkspace();
+  ~InterleaveWorkspace();
+  InterleaveWorkspace(const InterleaveWorkspace&) = delete;
+  InterleaveWorkspace& operator=(const InterleaveWorkspace&) = delete;
+
+ private:
+  friend class GilSimulator;
+  friend class CpuShareSimulator;
+  std::unique_ptr<interleave_detail::Workspace> impl_;
 };
 
 /// A contiguous span of one thread's timeline (Fig. 5-style output).
@@ -75,8 +119,14 @@ class GilSimulator {
   /// arrivals) via a next-event calendar and a CFS pick heap.
   InterleaveResult run(const std::vector<ThreadTask>& tasks) const;
 
+  /// run()'s makespan, bit for bit, on borrowed and overhead-scaled
+  /// tasks: no spans, no per-task results, and no allocation once `ws`
+  /// is warm.
+  TimeMs makespan(std::span<const TaskView> tasks,
+                  InterleaveWorkspace& ws) const;
+
   /// The original O(E*N) scan-per-step loop, kept as the semantic
-  /// reference for parity tests. Bit-identical to run().
+  /// reference for parity tests. Bit-identical to run() and makespan().
   InterleaveResult run_slow_reference(
       const std::vector<ThreadTask>& tasks) const;
 

@@ -8,8 +8,10 @@
 // runtime/*.cc.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "runtime/gil.h"
@@ -32,6 +34,10 @@ struct TaskState {
   TimeMs start = -1.0;
   TimeMs finish = 0.0;
   std::vector<TimelineSpan> spans;
+  /// CPU-segment overheads (TaskView); zero for run()'s ThreadTasks. Kept
+  /// last: they are read once per segment, the fields above per quantum.
+  double exec_overhead = 0.0;
+  double contention_overhead = 0.0;
 };
 
 inline void push_span(TaskState& t, bool record, TimelineSpan::Kind kind,
@@ -45,21 +51,37 @@ inline void push_span(TaskState& t, bool record, TimelineSpan::Kind kind,
   }
 }
 
+// The duration `t` executes segment `s` for: a CPU segment is scaled the
+// way RuntimeParams::thread_behavior scales a copy (the isolation
+// overhead, then the contention overhead, one multiply each), a block
+// segment is not. A zero overhead multiplies by exactly 1.0.
+inline TimeMs segment_duration(const TaskState& t, const Segment& s) {
+  TimeMs d = s.duration;
+  if (s.kind == Segment::Kind::kCpu) {
+    d *= (1.0 + t.exec_overhead);
+    d *= (1.0 + t.contention_overhead);
+  }
+  return d;
+}
+
 // Moves `t` into its segment `seg` at time `now`: becomes blocked, runnable,
 // or done. Returns true if the task finished.
 inline bool enter_segment(TaskState& t, TimeMs now, bool record) {
   const auto& segs = t.behavior->segments();
-  while (t.seg < segs.size() && segs[t.seg].duration <= kEps) ++t.seg;
+  TimeMs d = 0.0;
+  while (t.seg < segs.size() &&
+         (d = segment_duration(t, segs[t.seg])) <= kEps) {
+    ++t.seg;
+  }
   if (t.seg >= segs.size()) {
     t.state = State::kDone;
     t.finish = now;
     return true;
   }
-  const Segment& s = segs[t.seg];
-  t.seg_remaining = s.duration;
-  if (s.kind == Segment::Kind::kBlock) {
+  t.seg_remaining = d;
+  if (segs[t.seg].kind == Segment::Kind::kBlock) {
     t.state = State::kBlocked;
-    t.unblock = now + s.duration;
+    t.unblock = now + d;
     if (t.start < 0.0) t.start = now;
     push_span(t, record, TimelineSpan::Kind::kBlock, now, t.unblock);
   } else {
@@ -84,15 +106,99 @@ inline InterleaveResult collect(std::vector<TaskState>& states) {
   return result;
 }
 
-inline std::vector<TaskState> init_states(
-    const std::vector<ThreadTask>& tasks) {
-  std::vector<TaskState> states(tasks.size());
+// collect()'s makespan without building the per-task results.
+inline TimeMs makespan_of(const std::vector<TaskState>& states) {
+  TimeMs makespan = 0.0;
+  for (const TaskState& t : states) makespan = std::max(makespan, t.finish);
+  return makespan;
+}
+
+// Resets `states` to one fresh entry per task, keeping its storage.
+inline void load(std::vector<TaskState>& states,
+                 const std::vector<ThreadTask>& tasks) {
+  states.clear();
+  states.resize(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     states[i].behavior = &tasks[i].behavior;
     states[i].ready = tasks[i].ready_ms;
   }
-  return states;
 }
+
+inline void load(std::vector<TaskState>& states,
+                 std::span<const TaskView> tasks) {
+  states.clear();
+  states.resize(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    states[i].behavior = tasks[i].behavior;
+    states[i].exec_overhead = tasks[i].exec_overhead;
+    states[i].contention_overhead = tasks[i].contention_overhead;
+    states[i].ready = tasks[i].ready_ms;
+  }
+}
+
+// A min-heap on a reusable vector. push/pop make the same push_heap /
+// pop_heap calls as std::priority_queue<T, std::vector<T>, Later>, so
+// entries come out in the same order.
+template <class T, class Later>
+class Heap {
+ public:
+  bool empty() const { return v_.empty(); }
+  const T& top() const { return v_.front(); }
+  void push(const T& x) {
+    v_.push_back(x);
+    std::push_heap(v_.begin(), v_.end(), Later{});
+  }
+  void pop() {
+    std::pop_heap(v_.begin(), v_.end(), Later{});
+    v_.pop_back();
+  }
+  void clear() { v_.clear(); }
+
+ private:
+  std::vector<T> v_;
+};
+
+// A task keyed by a time (or, in the CPU-share kernel, a work
+// coordinate); earliest first, ties by id.
+struct Entry {
+  TimeMs at;
+  std::size_t id;
+};
+struct EntryLater {
+  bool operator()(const Entry& a, const Entry& b) const {
+    if (a.at != b.at) return a.at > b.at;
+    return a.id > b.id;
+  }
+};
+
+// A GIL pick candidate: least (cpu, ready, id) first; `gen` marks it stale.
+struct Cand {
+  TimeMs cpu;
+  TimeMs ready;
+  std::size_t id;
+  std::uint64_t gen;
+};
+struct CandLater {
+  bool operator()(const Cand& a, const Cand& b) const {
+    if (a.cpu != b.cpu) return a.cpu > b.cpu;
+    if (a.ready != b.ready) return a.ready > b.ready;
+    return a.id > b.id;
+  }
+};
+
+// Everything one fast-kernel call allocates. run() builds a fresh one per
+// call; makespan() reuses its caller's, so a warm workspace simulates
+// without allocating.
+struct Workspace {
+  std::vector<TaskState> states;
+  Heap<Entry, EntryLater> events;  // arrivals and unblocks
+  Heap<Cand, CandLater> cands;     // GIL: CFS pick
+  Heap<Entry, EntryLater> fins;    // CPU share: completions (work coords)
+  std::vector<std::uint64_t> gen;  // GIL: pick-entry generation per task
+  std::vector<std::size_t> pos;    // GIL: position in `runnable`
+  std::vector<std::size_t> runnable;
+  std::vector<TimeMs> run_begin;   // CPU share: current run's start
+};
 
 }  // namespace interleave_detail
 }  // namespace chiron

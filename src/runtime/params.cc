@@ -59,16 +59,28 @@ FunctionBehavior RuntimeParams::thread_behavior(FunctionBehavior b,
                                                 IsolationMode mode,
                                                 std::size_t co_resident) const {
   if (mode == IsolationMode::kMpk || mode == IsolationMode::kSfi) {
-    const IsolationParams& iso = mode == IsolationMode::kMpk ? mpk : sfi;
-    const TimeMs total = b.solo_latency();
-    const double cpu_fraction = total <= 0.0 ? 1.0 : b.total_cpu() / total;
-    b = b.with_cpu_overhead(iso.exec_overhead(cpu_fraction));
+    b = b.with_cpu_overhead(isolation_overhead(b, mode));
   }
   // GIL convoy / cache contention among co-resident threads.
   if (has_gil(rt) && co_resident > 1) {
-    b = b.with_cpu_overhead(thread_contention(co_resident) - 1.0);
+    b = b.with_cpu_overhead(contention_overhead(rt, co_resident));
   }
   return b;
+}
+
+double RuntimeParams::isolation_overhead(const FunctionBehavior& b,
+                                         IsolationMode mode) const {
+  if (mode != IsolationMode::kMpk && mode != IsolationMode::kSfi) return 0.0;
+  const IsolationParams& iso = mode == IsolationMode::kMpk ? mpk : sfi;
+  const TimeMs total = b.solo_latency();
+  const double cpu_fraction = total <= 0.0 ? 1.0 : b.total_cpu() / total;
+  return iso.exec_overhead(cpu_fraction);
+}
+
+double RuntimeParams::contention_overhead(Runtime rt,
+                                          std::size_t co_resident) const {
+  if (!has_gil(rt) || co_resident <= 1) return 0.0;
+  return thread_contention(co_resident) - 1.0;
 }
 
 TimeMs RuntimeParams::interaction_ms(IsolationMode mode,

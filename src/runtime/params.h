@@ -133,10 +133,19 @@ struct RuntimeParams {
   /// process: thread clone plus the mode's per-function isolation startup.
   TimeMs spawn_gap_ms(Runtime rt, IsolationMode mode) const;
   /// `b` as it runs in a thread shared by `co_resident` threads (itself
-  /// included): the Table 1 exec overhead of `mode`, then GIL contention.
+  /// included): every CPU duration d becomes d * (1 + isolation_overhead)
+  /// and then that times (1 + contention_overhead), each step taken only
+  /// where it applies. The kernels' makespan entries (TaskView) apply the
+  /// same two steps to a borrowed behaviour.
   FunctionBehavior thread_behavior(FunctionBehavior b, Runtime rt,
                                    IsolationMode mode,
                                    std::size_t co_resident) const;
+  /// Table 1 exec overhead of `mode` on `b` (0 outside MPK and SFI).
+  double isolation_overhead(const FunctionBehavior& b,
+                            IsolationMode mode) const;
+  /// GIL contention overhead, thread_contention(co_resident) - 1 (0 for a
+  /// runtime without a GIL or a thread with no co-resident).
+  double contention_overhead(Runtime rt, std::size_t co_resident) const;
   /// Per-interaction charge of a process hosting `group_size` threads
   /// under `mode` (SFI and MPK, Table 1).
   TimeMs interaction_ms(IsolationMode mode, std::size_t group_size) const;

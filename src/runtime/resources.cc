@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -65,8 +64,9 @@ using interleave_detail::State;
 using interleave_detail::TaskState;
 using interleave_detail::collect;
 using interleave_detail::enter_segment;
-using interleave_detail::init_states;
 using interleave_detail::kEps;
+using interleave_detail::load;
+using interleave_detail::makespan_of;
 using interleave_detail::push_span;
 
 // A CPU segment is deemed finished once the shared work coordinate is
@@ -106,41 +106,27 @@ CpuShareSimulator::CpuShareSimulator(std::size_t cpus, bool record_spans)
 // The only difference is how wmin / the next event are FOUND (heaps vs
 // linear scans) — the values are identical, so results are bit-identical.
 
-InterleaveResult CpuShareSimulator::run(
-    const std::vector<ThreadTask>& tasks) const {
-  std::vector<TaskState> states = init_states(tasks);
+namespace {
+
+// The event-driven kernel over the tasks loaded into `ws.states`.
+void simulate(interleave_detail::Workspace& ws, std::size_t cpus,
+              bool record_spans) {
+  std::vector<TaskState>& states = ws.states;
   const std::size_t n = states.size();
 
   // Next-event calendar: one pending entry per kNotReady (arrival) or
   // kBlocked (unblock) task; popped exactly when admitted, never stale.
-  struct Ev {
-    TimeMs at;
-    std::size_t id;
-  };
-  struct EvLater {
-    bool operator()(const Ev& a, const Ev& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> events;
+  auto& events = ws.events;
+  events.clear();
 
   // Completion calendar in work coordinates: one live entry per runnable
   // task keyed (w_fin, id). A task leaves the runnable set only by being
   // popped here, so entries are never stale either.
-  struct Fin {
-    TimeMs w_fin;
-    std::size_t id;
-  };
-  struct FinLater {
-    bool operator()(const Fin& a, const Fin& b) const {
-      if (a.w_fin != b.w_fin) return a.w_fin > b.w_fin;
-      return a.id > b.id;
-    }
-  };
-  std::priority_queue<Fin, std::vector<Fin>, FinLater> fins;
+  auto& fins = ws.fins;
+  fins.clear();
 
-  std::vector<TimeMs> run_begin(n, 0.0);
+  std::vector<TimeMs>& run_begin = ws.run_begin;
+  run_begin.assign(n, 0.0);
   std::size_t runnable = 0;
   std::size_t done = 0;
   TimeMs now = 0.0;
@@ -178,7 +164,7 @@ InterleaveResult CpuShareSimulator::run(
         at = t.unblock;
         ++t.seg;
       }
-      enter_segment(t, at, record_spans_);
+      enter_segment(t, at, record_spans);
       settle(id, at);
     }
 
@@ -190,11 +176,11 @@ InterleaveResult CpuShareSimulator::run(
 
     // Fluid processor sharing: each runnable task progresses at `rate`.
     const double rate = std::min(
-        1.0, static_cast<double>(cpus_) / static_cast<double>(runnable));
+        1.0, static_cast<double>(cpus) / static_cast<double>(runnable));
 
     // Advance to the earliest of: a runnable segment completing at this
     // rate, an arrival, or an unblock.
-    TimeMs dt = (fins.top().w_fin - work) / rate;
+    TimeMs dt = (fins.top().at - work) / rate;
     if (!events.empty() && events.top().at > now) {
       dt = std::min(dt, events.top().at - now);
     }
@@ -204,24 +190,42 @@ InterleaveResult CpuShareSimulator::run(
 
     // Complete every segment the work coordinate has reached; chains of
     // tiny follow-on segments re-enter via the pushed entries.
-    while (!fins.empty() && fins.top().w_fin <= work + kDoneEps) {
+    while (!fins.empty() && fins.top().at <= work + kDoneEps) {
       const std::size_t id = fins.top().id;
       fins.pop();
       --runnable;
       TaskState& t = states[id];
       t.cpu += t.seg_remaining;
-      push_span(t, record_spans_, TimelineSpan::Kind::kCpu, run_begin[id], now);
+      push_span(t, record_spans, TimelineSpan::Kind::kCpu, run_begin[id], now);
       ++t.seg;
-      enter_segment(t, now, record_spans_);
+      enter_segment(t, now, record_spans);
       settle(id, now);
     }
   }
-  return collect(states);
+}
+
+}  // namespace
+
+InterleaveResult CpuShareSimulator::run(
+    const std::vector<ThreadTask>& tasks) const {
+  interleave_detail::Workspace ws;
+  load(ws.states, tasks);
+  simulate(ws, cpus_, record_spans_);
+  return collect(ws.states);
+}
+
+TimeMs CpuShareSimulator::makespan(std::span<const TaskView> tasks,
+                                   InterleaveWorkspace& ws) const {
+  interleave_detail::Workspace& w = *ws.impl_;
+  load(w.states, tasks);
+  simulate(w, cpus_, /*record_spans=*/false);
+  return makespan_of(w.states);
 }
 
 InterleaveResult CpuShareSimulator::run_slow_reference(
     const std::vector<ThreadTask>& tasks) const {
-  std::vector<TaskState> states = init_states(tasks);
+  std::vector<TaskState> states;
+  load(states, tasks);
   const std::size_t n = states.size();
   std::vector<TimeMs> w_fin(n, 0.0);
   std::vector<TimeMs> run_begin(n, 0.0);

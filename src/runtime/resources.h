@@ -52,10 +52,10 @@ double node_throughput_rps(const RuntimeParams& params,
 /// progress): while R tasks are runnable each advances at rate
 /// min(1, cpus/R), a CPU segment entered at W0 completes at exactly
 /// W0 + duration, and segment boundaries / arrivals / unblocks are the
-/// only breakpoints the kernel visits. run() finds each breakpoint
-/// through heaps (O(E log N)); run_slow_reference() re-scans all tasks
-/// per breakpoint (O(E*N)) with the same arithmetic, making the two
-/// bit-identical by construction.
+/// only breakpoints the kernel visits. run() and makespan() find each
+/// breakpoint through heaps (O(E log N)); run_slow_reference() re-scans
+/// all tasks per breakpoint (O(E*N)) with the same arithmetic, making the
+/// three bit-identical by construction.
 class CpuShareSimulator {
  public:
   explicit CpuShareSimulator(std::size_t cpus, bool record_spans = false);
@@ -63,8 +63,13 @@ class CpuShareSimulator {
   /// Simulates all tasks to completion. Deterministic, O(E log N).
   InterleaveResult run(const std::vector<ThreadTask>& tasks) const;
 
+  /// run()'s makespan, bit for bit, on borrowed and overhead-scaled tasks
+  /// (see GilSimulator::makespan).
+  TimeMs makespan(std::span<const TaskView> tasks,
+                  InterleaveWorkspace& ws) const;
+
   /// Linear-scan reference with identical breakpoint arithmetic, kept for
-  /// parity tests. Bit-identical to run().
+  /// parity tests. Bit-identical to run() and makespan().
   InterleaveResult run_slow_reference(
       const std::vector<ThreadTask>& tasks) const;
 

@@ -91,7 +91,8 @@ std::vector<FunctionBehavior> true_behaviors(const Workflow& wf) {
 
 TEST(PredictionCacheTest, CachedPredictorMatchesUncached) {
   // The cache must be invisible in every predicted value, across runtimes
-  // and isolation modes (including the true-parallel engines).
+  // and isolation modes (including the true-parallel engines). It serves
+  // only CPU-capped wraps, so each plan is also predicted on one CPU.
   const Workflow wf = make_finra(12);
   for (Runtime rt : {Runtime::kPython3, Runtime::kJava}) {
     for (IsolationMode mode :
@@ -106,13 +107,21 @@ TEST(PredictionCacheTest, CachedPredictorMatchesUncached) {
       pgp.mode = mode;
       pgp.runtime = rt;
       pgp.deploy_threads = 1;
+      // A tight SLO, so the GIL plans fork more than one process.
       const WrapPlan plan =
-          PgpScheduler(pgp, wf, true_behaviors(wf)).schedule(500.0).plan;
+          PgpScheduler(pgp, wf, true_behaviors(wf)).schedule(100.0).plan;
+      WrapPlan capped = plan;
+      capped.cpu_cap = 1;
       // Repeat so the second pass exercises warm-cache reads.
       for (int pass = 0; pass < 2; ++pass) {
         EXPECT_DOUBLE_EQ(a.workflow_latency(plan), b.workflow_latency(plan))
             << "runtime=" << static_cast<int>(rt)
             << " mode=" << static_cast<int>(mode) << " pass=" << pass;
+        EXPECT_DOUBLE_EQ(a.workflow_latency(capped),
+                         b.workflow_latency(capped))
+            << "runtime=" << static_cast<int>(rt)
+            << " mode=" << static_cast<int>(mode) << " pass=" << pass
+            << " capped";
       }
       // True-parallel configurations (Java threads, pool workers) predict
       // uncapped wraps without per-group simulations, so only the GIL
@@ -132,13 +141,16 @@ TEST(PredictionCacheTest, SchedulePublishesHitMissCounters) {
   const std::int64_t misses_before =
       m.counter("chiron.predictor.cache.miss").value();
 
+  // A tight SLO, so PGP caps the CPUs: the cache serves only capped
+  // wraps, and the min-CPU bisection re-asks their unchanged groups.
   const Workflow wf = make_finra(25);
   const PgpScheduler scheduler(PgpConfig{}, wf, true_behaviors(wf));
-  const PgpResult result = scheduler.schedule(200.0);
+  const PgpResult result = scheduler.schedule(100.0);
   ASSERT_NO_THROW(result.plan.validate(wf));
+  ASSERT_GT(result.plan.cpu_cap, 0u);
 
   const PredictionCache::Stats local = scheduler.predictor().cache_stats();
-  EXPECT_GT(local.hits, 0u);    // KL + packing revisit identical groups
+  EXPECT_GT(local.hits, 0u);    // bisection probes revisit the same groups
   EXPECT_GT(local.misses, 0u);  // every distinct group simulates once
 
   // schedule() mirrors its counts into the global registry.
